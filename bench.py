@@ -85,7 +85,6 @@ def run_benchmarks() -> dict:
     from jschon_ray.pipelines import queries as Q
     from jschon_ray.pipelines.validate import (
         clip_validation_pipeline,
-        flagship_summary,
         summarize_verdicts,
     )
     from jschon_ray.sources.clips import clips_cache_dir, fp_corpus_cache_dir
@@ -139,10 +138,6 @@ def run_benchmarks() -> dict:
     # NB: measured — overlapping these executions with driver threads makes
     # them contend for the same CPU slots and is ~3x SLOWER than serial.
     def flagship():
-        # three sequential executions, NOT the one-job union
-        # (flagship_summary): measured 2.7 s vs 7.1 s at 16 cores — the
-        # union plan denies the read->validate fusion its full worker
-        # set while the shuffle branches hold slots
         out = clip_validation_pipeline(clips_dir)
         s = summarize_verdicts(out["verdicts"])
         s["n_dupe_keys"] = out["dupes"].count()

@@ -368,10 +368,12 @@ def salted_hash_join(left, right, *, on: str, hot_keys,
 
 
 #: logical ops whose re-execution costs ~a pruned re-read: the scan
-#: itself, in-memory inputs, projections/limits, and our metadata-strip
-#: stage (sources.io._strip_block_meta — schema-only, fuses with the read)
+#: itself, in-memory inputs, projections, and our metadata-strip stage
+#: (sources.io._strip_block_meta — schema-only, fuses with the read).
+#: Not Limit: which rows a limit keeps depends on task completion order,
+#: so two executions may see different rows and pick different plans.
 _CHEAP_OPS = {"Read", "InputData", "FromArrow", "FromPandas", "FromItems",
-              "FromNumpy", "Project", "Limit"}
+              "FromNumpy", "Project"}
 
 
 def _plan_is_cheap(ds) -> bool:

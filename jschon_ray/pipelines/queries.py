@@ -3453,11 +3453,7 @@ def q_grouped_stats_codec(sf_dir):
     from ..sources.clips import clips_cache_dir
     from .stats import grouped_stats
 
-    # a 2-column key/value read needs ~1 block per CPU, not the payload-
-    # sized default split (ray's SplitBlocks gave 200 hundred-row blocks
-    # here and every downstream stage paid 200x task overhead)
-    ds = read_table(clips_cache_dir(sf_dir), columns=["codec", "dur_ms"],
-                    override_num_blocks=32)
+    ds = read_table(clips_cache_dir(sf_dir), columns=["codec", "dur_ms"])
     out = grouped_stats(ds, "codec", "dur_ms")
     return out.map_batches(
         lambda t: t.select(["codec", "n", "n_null", "mean", "min", "max"]),

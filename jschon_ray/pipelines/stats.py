@@ -148,12 +148,8 @@ def grouped_stats(ds, key: str, value: str, num_salts: int = 16):
     # shuffle + merge stages pay per-block scheduling overhead (measured:
     # 200 hundred-row blocks made a 20k-row job take 11 s). Coalesce to
     # ~CPU-count blocks first; at any scale this moves only partial rows.
-    try:
-        import ray
+    from ..sources.io import cluster_cpus
 
-        target = max(8, int(ray.cluster_resources().get("CPU", 8)))
-    except Exception:
-        target = 8
-    parts = parts.repartition(target)
+    parts = parts.repartition(max(8, cluster_cpus()))
     return parts.groupby(key).map_groups(_merge_salted,
                                          batch_format="pandas")

@@ -26,18 +26,15 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from ..sources.io import cluster_cpus
+from ..stages.validate import SpecValidator, ViolationExploder
+from .specs import CLIP_SPEC
+
 
 def default_concurrency():
     """Actor-pool size for stateful stages: autoscale up to the CPU count
     (Ray requires explicit ``concurrency`` for callable classes)."""
-    try:
-        ncpu = int(ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return (1, max(2, ncpu))
-
-from ..stages.validate import SpecValidator, ViolationExploder
-from .specs import CLIP_SPEC
+    return (1, max(2, cluster_cpus()))
 
 
 def validate_dataset(ds, spec, *, keep_columns=None, batch_size=4096,
@@ -372,57 +369,6 @@ def referential_violations(ds, column, dim_values, key_cols=("clip_id",)):
     )
 
 
-def flagship_summary(out) -> dict:
-    """The flagship's whole scalar summary in ONE executed Ray job.
-
-    ``summarize_verdicts`` + ``dupes.count()`` + ``referential.count()``
-    cost three sequential driver-blocking executions, each paying plan/
-    submit/collect latency. Here every branch reduces to narrow
-    (metric, value) partial rows, the three lazy pipelines UNION into
-    one plan, and the tiny partials stream to the driver. Same numbers,
-    one barrier.
-
-    MEASURED CAVEAT (why the bench does NOT use this): with ample CPUs
-    the three-job plan is ~2.6x FASTER (2.7 s vs 7.1 s at 16 cores /
-    4M rows) — inside the union the shuffle branches hold worker slots
-    the fused read->validate stage would otherwise saturate. Prefer
-    this single-job form only when job-submit latency dominates (few
-    CPUs, many tiny inputs, or remote submission).
-
-    Returns {n, n_valid, n_violations, n_dupe_keys, n_referential}.
-    """
-    def verdict_partials(t: pa.Table) -> pa.Table:
-        return pa.table({
-            "metric": pa.array(["n", "n_valid", "n_violations"]),
-            "value": pa.array([
-                t.num_rows,
-                int(pc.sum(t["valid"]).as_py() or 0),
-                int(pc.sum(pc.list_value_length(
-                    t["violations"])).as_py() or 0)], pa.int64()),
-        })
-
-    def row_count_partial(name):
-        def count(t: pa.Table) -> pa.Table:
-            return pa.table({"metric": pa.array([name]),
-                             "value": pa.array([t.num_rows], pa.int64())})
-        return count
-
-    unioned = out["verdicts"].map_batches(
-        verdict_partials, batch_format="pyarrow") \
-        .union(out["dupes"].map_batches(row_count_partial("n_dupe_keys"),
-                                        batch_format="pyarrow")) \
-        .union(out["referential"].map_batches(
-            row_count_partial("n_referential"), batch_format="pyarrow"))
-    # partials are O(blocks) tiny rows — stream them straight to the
-    # driver and sum there (no groupby shuffle; one map-only job)
-    tot = {"n": 0, "n_valid": 0, "n_violations": 0, "n_dupe_keys": 0,
-           "n_referential": 0}
-    for b in unioned.iter_batches(batch_format="pyarrow"):
-        for m, v in zip(b["metric"].to_pylist(), b["value"].to_pylist()):
-            tot[m] += int(v or 0)
-    return tot
-
-
 def summarize_verdicts(ds):
     """Tiny driver-side summary: counts by validity (safe to materialize)."""
     agg = ds.map_batches(
@@ -499,22 +445,10 @@ def clip_validation_pipeline(clips_path, *, spec=None, decode=False,
 
     violations = explode_violations(verdicts, key_cols=("clip_id",))
     # dupes/referential never need the (heavy) bytes column: re-read with
-    # column pruning at the parquet reader when we own the read. The
-    # narrow reads also pin the block count: ray sizes splits for the
-    # PAYLOAD-bearING table (~200 hundred-row blocks here), and the
-    # uniqueness shuffle then pays ~200 map+reduce tasks of pure
-    # scheduling floor (measured 2.2 s -> 0.22 s for the dupes pass).
-    # max(32, n_files) keeps one block per CPU on small cached tables
-    # while a 100 TB table (thousands of files) retains at least
-    # file-level parallelism — the same fix as q_grouped_stats_codec.
+    # column pruning at the parquet reader when we own the read
     if is_path:
-        from ..sources.io import table_files
-
-        nb = max(32, len(table_files(clips_path)))
-        key_ds = read_table(clips_path, columns=["clip_id"],
-                            override_num_blocks=nb)
-        ref_ds = read_table(clips_path, columns=["clip_id", "codec"],
-                            override_num_blocks=nb)
+        key_ds = read_table(clips_path, columns=["clip_id"])
+        ref_ds = read_table(clips_path, columns=["clip_id", "codec"])
     else:
         key_ds = ds.select_columns(["clip_id"])
         ref_ds = ds.select_columns(["clip_id", "codec"])

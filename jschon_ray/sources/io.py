@@ -69,47 +69,121 @@ def _strip_block_meta(t):
     return t.replace_schema_metadata(None) if t.schema.metadata else t
 
 
+def cluster_cpus() -> int:
+    """CPUs to size reads and stage pools for: the Ray cluster's CPU
+    total when a session is up, else this process's schedulable CPUs.
+    Never starts Ray."""
+    import ray
+
+    if ray.is_initialized():
+        n = int(ray.cluster_resources().get("CPU", 0))
+        if n:
+            return n
+    return len(os.sched_getaffinity(0))
+
+
+def _parquet_footers(path):
+    """Footers of the concrete parquet files behind `path` (a file or a
+    list of files), or None for a directory (hive / nested layout, left
+    to Ray's listing) or when any footer is unreadable."""
+    if isinstance(path, str) and os.path.isdir(path):
+        return None
+    files = table_files(path)
+    if not files:
+        return None
+    import pyarrow.parquet as pq
+
+    try:
+        return [pq.read_metadata(f) for f in files]
+    except Exception:
+        return None
+
+
+def _projected_schema(footers, columns):
+    """Metadata-free schema of `columns` (every column when None) if all
+    footers agree on it, else None."""
+    import pyarrow as pa
+
+    out = None
+    for md in footers:
+        full = md.schema.to_arrow_schema()
+        try:
+            sch = pa.schema([full.field(n).remove_metadata()
+                             for n in (columns or full.names)])
+        except KeyError:
+            return None
+        if out is None:
+            out = sch
+        elif not sch.equals(out):
+            return None
+    return out
+
+
+def _projected_bytes(footers, columns) -> int:
+    """Uncompressed bytes of `columns` (every column when None) summed
+    over every row group of every footer."""
+    top = None if columns is None else set(columns)
+    total = 0
+    for md in footers:
+        for rg in range(md.num_row_groups):
+            g = md.row_group(rg)
+            for j in range(g.num_columns):
+                c = g.column(j)
+                if top is None or c.path_in_schema.split(".")[0] in top:
+                    total += c.total_uncompressed_size
+    return total
+
+
+def _default_num_blocks(footers, columns) -> int:
+    """Block count for a parquet read with no explicit
+    ``override_num_blocks``: one block per cluster CPU, and more only
+    when the projected bytes would overfill Ray's target block size.
+
+    Ray's own default (up to ``read_op_min_num_blocks`` = 200) sizes
+    splits for the whole, payload-bearing table; a narrow projection then
+    arrives as hundreds of tiny blocks and every downstream task and
+    every sort-shuffle piece (M blocks -> M x M) pays per-task overhead.
+    """
+    import math
+
+    from ray.data import DataContext
+
+    n = cluster_cpus()
+    target = DataContext.get_current().target_max_block_size
+    if target:
+        n = max(n, math.ceil(_projected_bytes(footers, columns) / target))
+    return n
+
+
 def read_parquet_clean(path, **kwargs):
     """``ray.data.read_parquet`` with schema metadata stripped from every
-    block (see ``_strip_block_meta``).
+    block (see ``_strip_block_meta``)."""
+    return _read_parquet(path, _parquet_footers(path), kwargs)
 
-    Primary path: derive a metadata-free schema from the first file's
-    footer (pruned to ``columns`` when given) and pass it as
-    ``schema=`` — the datasource then emits clean blocks directly, with
-    no extra operator in the plan and no metadata inside the read task
-    (where a post-read strip stage cannot reach the
-    ``ReadParquet->SplitBlocks`` schema unification).  Fallback for
-    shapes where a single footer can't speak for the dataset (hive
-    partition dirs, unreadable first file): a fused zero-copy strip
-    stage after the read."""
+
+def _read_parquet(path, footers, kwargs):
+    """Primary path: when every footer agrees on the projected schema,
+    pass it metadata-free as ``schema=`` — the datasource then emits
+    clean blocks directly, with no extra operator in the plan and no
+    metadata inside the read task (where a post-read strip stage cannot
+    reach the ``ReadParquet->SplitBlocks`` schema unification).
+    Fallback for shapes where the footers can't speak for the dataset
+    (hive partition dirs, unreadable or disagreeing files): a fused
+    zero-copy strip stage after the read."""
     import ray.data as rd
 
-    first = None
-    if isinstance(path, (list, tuple)) and path:
-        first = path[0]
-    elif isinstance(path, str) and not os.path.isdir(path):
-        first = path
-    if kwargs.get("filter") is not None and kwargs.get("columns") \
-            is not None:
-        # ray's parquet datasource applies `schema` to the PROJECTED
-        # batch, so the derived schema must be pruned to `columns` —
-        # but a filter expression may reference columns OUTSIDE the
-        # projection (pyarrow filters then projects), and pyarrow
-        # expressions don't expose their field refs for a subset check.
-        # Take the strip-stage fallback for that combination.
-        first = None
-    if first is not None:
-        try:
-            import pyarrow as pa
-            import pyarrow.parquet as pq
-
-            full = pq.read_schema(first)
-            names = kwargs.get("columns") or full.names
-            sch = pa.schema([full.field(n).remove_metadata()
-                             for n in names])
-            return rd.read_parquet(path, schema=sch, **kwargs)
-        except Exception:
-            pass
+    sch = None
+    # ray's parquet datasource applies `schema` to the PROJECTED batch,
+    # so the derived schema is pruned to `columns` — but a filter
+    # expression may reference columns OUTSIDE the projection (pyarrow
+    # filters then projects), and pyarrow expressions don't expose their
+    # field refs for a subset check. Take the strip-stage fallback for
+    # that combination.
+    if footers and (kwargs.get("filter") is None
+                    or kwargs.get("columns") is None):
+        sch = _projected_schema(footers, kwargs.get("columns"))
+    if sch is not None:
+        return rd.read_parquet(path, schema=sch, **kwargs)
     return rd.read_parquet(path, **kwargs).map_batches(
         _strip_block_meta, batch_format="pyarrow", zero_copy_batch=True)
 
@@ -123,7 +197,11 @@ def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
     auto-detected from the extension when None. Column pruning + predicate
     pushdown reach storage only on the parquet path — jsonl/csv decode
     whole records, so columns are dropped post-read (still before the
-    first exchange) and `filter` applies as a batch kernel."""
+    first exchange) and `filter` applies as a batch kernel.
+
+    Parquet files (not hive directories) read without
+    `override_num_blocks` take ``_default_num_blocks``: one block per
+    cluster CPU, more only when the projected bytes need them."""
     import ray.data as rd
 
     fmt = format or _detect_format(path)
@@ -165,7 +243,11 @@ def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
             kwargs["columns"] = list(columns)
         if filter is not None:
             kwargs["filter"] = filter
-        return read_parquet_clean(path, **kwargs)
+        footers = _parquet_footers(path)
+        if footers and override_num_blocks is None:
+            kwargs["override_num_blocks"] = _default_num_blocks(
+                footers, kwargs.get("columns"))
+        return _read_parquet(path, footers, kwargs)
     if fmt == "json":
         ds = rd.read_json(path, **kwargs)
     elif fmt == "csv":

@@ -401,12 +401,9 @@ def build_bloom(ds, col: str, *, num_bits: int = 1 << 23,
 
     parts = ds.select_columns([col]) \
         .map_batches(partial, batch_format="pyarrow")
-    try:
-        import ray
-        fan = max(16, int(ray.cluster_resources().get("CPU", 16)))
-    except Exception:
-        fan = 16
-    parts = parts.repartition(fan) \
+    from ..sources.io import cluster_cpus
+
+    parts = parts.repartition(max(16, cluster_cpus())) \
         .map_batches(or_block, batch_format="pyarrow")
     merged = None
     for b in parts.iter_batches(batch_format="pyarrow"):

@@ -190,3 +190,116 @@ def test_single_orc_file_read(ray_session, tmp_path):
     f = str(tmp_path / "one.orc")
     orc.write_table(t, f)
     assert read_table(f).to_pandas()["x"].tolist() == [1, 2, 3]
+
+
+def test_parquet_schema_fast_path_needs_agreeing_footers(ray_session,
+                                                         tmp_path):
+    """The metadata-free ``schema=`` read is taken only when every
+    footer agrees on the projected schema. A two-file list whose `k`
+    columns are int32 and int64 takes the strip-stage fallback, so
+    neither file is read through the other's schema."""
+    import pyarrow.parquet as pq
+
+    a, b = str(tmp_path / "a.parquet"), str(tmp_path / "b.parquet")
+    pq.write_table(pa.table({"k": pa.array([1, 2], pa.int32()),
+                             "s": ["a", "b"]}), a)
+    pq.write_table(pa.table({"k": pa.array([3, 2**40], pa.int64()),
+                             "s": ["c", "d"]}), b)
+    for files in ([a, b], [b, a]):
+        for columns in (None, ["k"]):
+            ds = read_table(files, columns=columns)
+            assert "_strip_block_meta" in str(ds._plan._logical_plan.dag)
+            assert sorted(ds.to_pandas()["k"]) == [1, 2, 3, 2**40]
+    # agreeing footers keep the fast path: no strip stage in the plan
+    ds = read_table([a, a], columns=["s"])
+    assert "_strip_block_meta" not in str(ds._plan._logical_plan.dag)
+    assert sorted(ds.to_pandas()["s"]) == ["a", "a", "b", "b"]
+
+
+@pytest.fixture
+def planned_blocks(monkeypatch):
+    """The `override_num_blocks` each ray.data.read_parquet call gets
+    (None when the call leaves it to Ray)."""
+    import ray.data
+
+    seen = []
+    orig = ray.data.read_parquet
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("override_num_blocks"))
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data, "read_parquet", spy)
+    return seen
+
+
+def _small_parts(d):
+    """Three 500-row part files: an int key and a string pad column."""
+    import pyarrow.parquet as pq
+
+    os.makedirs(d, exist_ok=True)
+    for i in range(3):
+        k = np.arange(i * 500, (i + 1) * 500)
+        pq.write_table(pa.table({"k": k,
+                                 "pad": [f"row-{x:08d}" for x in k]}),
+                       os.path.join(d, f"part-{i}.parquet"))
+    return d
+
+
+def test_narrow_read_plans_one_block_per_cpu(ray_session, tmp_path,
+                                             planned_blocks):
+    from jschon_ray.sources.io import cluster_cpus
+
+    d = _small_parts(str(tmp_path / "t"))
+    ds = read_table(d, columns=["k"])
+    assert planned_blocks == [cluster_cpus()]
+    assert ds.count() == 1500
+
+
+def test_wide_read_plans_blocks_by_projected_bytes(ray_session, tmp_path,
+                                                   planned_blocks):
+    import glob
+    import math
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from jschon_ray.sources.io import cluster_cpus
+
+    d = _small_parts(str(tmp_path / "t"))
+    nbytes = 0
+    for f in glob.glob(os.path.join(d, "*.parquet")):
+        md = pq.read_metadata(f)
+        for g in range(md.num_row_groups):
+            col = md.row_group(g).column(md.schema.names.index("pad"))
+            nbytes += col.total_uncompressed_size
+    ctx = ray.data.DataContext.get_current()
+    saved = ctx.target_max_block_size
+    ctx.target_max_block_size = nbytes // (3 * cluster_cpus())
+    try:
+        read_table(d, columns=["pad"])
+        want = math.ceil(nbytes / ctx.target_max_block_size)
+    finally:
+        ctx.target_max_block_size = saved
+    assert want > cluster_cpus()
+    assert planned_blocks == [want]
+
+
+def test_explicit_num_blocks_wins(ray_session, tmp_path, planned_blocks):
+    d = _small_parts(str(tmp_path / "t"))
+    ds = read_table(d, columns=["k"], override_num_blocks=7)
+    assert planned_blocks == [7]
+    assert ds.count() == 1500
+
+
+def test_hive_directory_keeps_ray_default(ray_session, tmp_path,
+                                          planned_blocks):
+    import pyarrow.parquet as pq
+
+    out = str(tmp_path / "hive")
+    k = np.arange(300)
+    pq.write_to_dataset(pa.table({"k": k, "p": k % 3}), out,
+                        partition_cols=["p"])
+    ds = read_table(out)
+    assert planned_blocks == [None]
+    assert ds.count() == 300

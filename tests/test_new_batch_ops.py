@@ -322,6 +322,17 @@ class TestSaltedHashJoin:
             rd_ds.map_batches(lambda t: t, batch_format="pyarrow"))
         assert not _plan_is_cheap(rd_ds.groupby("o_orderkey").count())
 
+    def test_limit_chain_materializes(self, ray_session):
+        """Which rows a Limit keeps depends on task completion order, so a
+        second execution could hand the heavy-hitter pass and the join
+        different rows and flip the salted/plain choice: a Limit chain is
+        materialized once, never re-executed."""
+        from jschon_ray.functions.join import _plan_is_cheap
+        ds = ray.data.from_arrow(pa.table({"k": pa.array(range(100))}))
+        assert _plan_is_cheap(ds.select_columns(["k"]))
+        assert not _plan_is_cheap(ds.limit(10))
+        assert not _plan_is_cheap(ds.select_columns(["k"]).limit(10))
+
 
 class TestKeyedCumeDist:
     def test_ties_counted_together(self, ray_session):

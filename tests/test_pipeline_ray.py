@@ -111,3 +111,45 @@ def test_referential_broadcast(ray_session):
     n_amr = sum(1 for c in t["codec"].to_pylist() if c == "amr")
     assert len(v) == n_amr
     assert set(v["codec"]) <= {"amr"}
+
+
+def test_dupes_and_referential_agree_across_block_counts(ray_session,
+                                                         tmp_path):
+    """The uniqueness shuffle and the semi-join answer the same at 1, 4
+    and 32 read blocks (and at the default block count) over a table
+    whose duplicate clip_ids span files."""
+    import collections
+
+    import pyarrow as pa
+
+    from jschon_ray.sources.io import read_table
+
+    t = generate_clips(2000, seed=5)
+    parts = [t.slice(i * 500, 500) for i in range(4)]
+    parts.append(t.slice(0, 40))          # re-sends rows of the first file
+    files = []
+    for i, p in enumerate(parts):
+        files.append(str(tmp_path / f"part-{i}.parquet"))
+        pq.write_table(p, files[-1])
+    whole = pa.concat_tables(parts)
+    cnt = collections.Counter(whole["clip_id"].to_pylist())
+    want_dupes = {k: c for k, c in cnt.items() if c > 1}
+    first_ids = set(parts[0]["clip_id"].to_pylist())
+    assert set(want_dupes) & first_ids & \
+        set(parts[-1]["clip_id"].to_pylist())
+    codecs = ["pcm_s16le", "wav", "flac", "opus", "mp3"]
+    want_ref = sorted(
+        (c, k) for c, k in zip(whole["clip_id"].to_pylist(),
+                               whole["codec"].to_pylist())
+        if k is not None and k not in codecs)
+    assert want_ref
+
+    for nb in (1, 4, 32, None):
+        keys = read_table(files, columns=["clip_id"],
+                          override_num_blocks=nb)
+        d = uniqueness_violations(keys).to_pandas()
+        assert dict(zip(d["clip_id"], d["n_rows"])) == want_dupes, nb
+        ref = read_table(files, columns=["clip_id", "codec"],
+                         override_num_blocks=nb)
+        r = referential_violations(ref, "codec", codecs).to_pandas()
+        assert sorted(zip(r["clip_id"], r["codec"])) == want_ref, nb
