@@ -1,7 +1,7 @@
 """Driver contract for the graft builder (Ray Data target).
 
-The driver calls ray.init() itself before importing this module; nothing
-here (or in jschon_ray) calls ray.init/ray.shutdown.
+Ray is up before this module is imported; nothing here (or in
+jschon_ray outside runtime.py) starts or stops Ray.
 
 - entry(): flagship clip-validation pipeline over a deterministic clips
   table derived from sf0.001 scale — returns the verdict summary plus the

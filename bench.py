@@ -2,14 +2,16 @@
 """Headline benchmark: one JSON line for the driver (BENCH_r{N}.json).
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
-/root/testdata/sf0.1) at num_cpus=$RAY_GRAFT_CPUS (default 32) and print
+/root/testdata/sf0.1) in one Ray session sized to this process's
+schedulable CPUs (jschon_ray/runtime.py; pin with taskset) and print
   {"metric": ..., "value": total_sec, "unit": "sec", "queries": {...},
    "sf": ..., "num_cpus": N, "clips_per_sec": ...}
 
---scaling: run the same workload twice in FRESH processes at num_cpus=8 and
-32 on identical input and print both throughputs + scaling efficiency
-(sandbox evidence for the north rule's N vs 4N cluster criterion — one
-physical box, so this evidences scheduler-level scaling shape).
+--scaling: run the same workload in FRESH processes pinned to
+$GRAFT_SCALE_LO and $GRAFT_SCALE_HI CPUs on identical input and print
+both throughputs + scaling efficiency (sandbox evidence for the north
+rule's N vs 4N cluster criterion — one physical box, so this evidences
+scheduler-level scaling shape).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 # --scaling runs the suite at N and 4N pinned CPUs. Defaults 4 and 16
 # over 4M rows: the host's measured memory-bus knee sits between 4 and
 # 8 cores (scripts/membw_probe.py — per-core bandwidth 16.3 -> 12.6
@@ -38,41 +39,9 @@ ONLY = os.environ.get("RAY_GRAFT_BENCH", "")
 def run_benchmarks() -> dict:
     import ray
 
-    from jschon_ray.state.raylog import quiet_empty_schema_warnings
+    from jschon_ray.sources.io import cluster_cpus
 
-    # drop ray's benign once-per-operator warning for zero-yield task
-    # bundles (empty shuffle partitions carry no schema); genuine
-    # non-empty schema divergences still log — see state/raylog.py
-    quiet_empty_schema_warnings()
-
-    if not ray.is_initialized():
-        # worker_process_setup_hook: pin the glibc allocator in EVERY
-        # worker (incl. read tasks) before the first big allocation —
-        # see jschon_ray/state/allocator.py for the measured kernel
-        # fault-path collapse this avoids; stages also self-apply it so
-        # drivers that own ray.init themselves are still covered.
-        # Self-contained closure (stdlib only): the hook deserializes in
-        # the worker BEFORE any sys.path setup, so it must not pickle by
-        # reference to this repo's modules.
-        def _tune_alloc():
-            import ctypes
-            try:
-                libc = ctypes.CDLL("libc.so.6")
-                libc.mallopt(-4, 0)        # M_MMAP_MAX = 0
-                libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD high
-            except Exception:
-                pass
-        ray.init(address="local", num_cpus=NUM_CPUS, include_dashboard=False,
-                 logging_level="ERROR",
-                 runtime_env={"worker_process_setup_hook": _tune_alloc})
-    import ray.data
-
-    ctx = ray.data.DataContext.get_current()
-    ctx.enable_progress_bars = False
-
-    import jschon_ray
-
-    jschon_ray.register_for_pickle_by_value()
+    ncpu = cluster_cpus()
 
     # warm the worker pool so timings measure steady-state compute, not
     # process spawn (measured: cold 32-worker spawn adds ~30% at this scale)
@@ -80,7 +49,7 @@ def run_benchmarks() -> dict:
     def _noop():
         return 0
 
-    ray.get([_noop.remote() for _ in range(NUM_CPUS)])
+    ray.get([_noop.remote() for _ in range(ncpu)])
 
     from jschon_ray.pipelines import queries as Q
     from jschon_ray.pipelines.validate import (
@@ -130,7 +99,7 @@ def run_benchmarks() -> dict:
             n_f / timings["audio_features"], 1)
         total = round(sum(timings.values()), 3)
         return {"metric": "features_only", "value": total, "unit": "sec",
-                "queries": timings, "sf": SF_DIR, "num_cpus": NUM_CPUS,
+                "queries": timings, "sf": SF_DIR, "num_cpus": ncpu,
                 **extras}
 
 
@@ -175,7 +144,7 @@ def run_benchmarks() -> dict:
         total = round(sum(timings.values()), 3)
         extras["suite_clips_per_sec"] = round(s["n"] / total, 1)
         return {"metric": "flagship_only", "value": total, "unit": "sec",
-                "queries": timings, "sf": SF_DIR, "num_cpus": NUM_CPUS,
+                "queries": timings, "sf": SF_DIR, "num_cpus": ncpu,
                 **extras}
 
     # 2. vectorized per-row suite over the biggest table
@@ -236,7 +205,7 @@ def run_benchmarks() -> dict:
         ds = read_table(table_path(SF_DIR, "orders"),
                         columns=["o_orderkey"])
         return global_rank(ds, id_col="o_orderkey", seed=42,
-                           num_buckets=4 * NUM_CPUS).count()
+                           num_buckets=4 * ncpu).count()
 
     n_rank = timed("shuffle_rank_orders", shuffle_rank_li)
     extras["shuffle_rank_rows_per_sec"] = round(
@@ -279,34 +248,34 @@ def run_benchmarks() -> dict:
         "unit": "sec",
         "queries": timings,
         "sf": SF_DIR,
-        "num_cpus": NUM_CPUS,
+        "num_cpus": ncpu,
         **extras,
     }
 
 
 def _decode_only(clips_dir):
     def decode():
-        from jschon_ray.sources.io import read_table
+        from jschon_ray.sources.io import cluster_cpus, read_table
         from jschon_ray.stages.decode import ClipDecoder
 
         ds = read_table(clips_dir, columns=["clip_id", "bytes", "sr_hz",
                                             "dur_ms", "codec"])
         return ds.map_batches(ClipDecoder, batch_format="pyarrow",
                               batch_size=1024,
-                              concurrency=(1, NUM_CPUS)).count()
+                              concurrency=(1, cluster_cpus())).count()
 
     return decode
 
 
 def _features_only(clips_dir):
     def features():
-        from jschon_ray.sources.io import read_table
+        from jschon_ray.sources.io import cluster_cpus, read_table
         from jschon_ray.stages.features import audio_features
 
         ds = read_table(clips_dir, columns=["clip_id", "bytes", "sr_hz",
                                             "codec"])
         return audio_features(ds, batch_size=512,
-                              concurrency=(1, NUM_CPUS)).count()
+                              concurrency=(1, cluster_cpus())).count()
 
     return features
 
@@ -321,20 +290,19 @@ def run_scaling():
     scale_rows = int(os.environ.get("GRAFT_SCALE_ROWS", "4000000"))
     repo = os.path.dirname(os.path.abspath(__file__))
     prep = (
-        "import sys, ray\n"
+        "import sys\n"
         f"sys.path.insert(0, {repo!r})\n"
-        f"ray.init(address='local', num_cpus={NUM_CPUS}, "
-        "include_dashboard=False, logging_level='ERROR')\n"
+        "from jschon_ray.runtime import session\n"
         "from jschon_ray.sources.clips import clips_cache_dir\n"
-        f"clips_cache_dir({SF_DIR!r}, n={scale_rows})\n"
-        "ray.shutdown()\n")
+        "with session():\n"
+        f"    clips_cache_dir({SF_DIR!r}, n={scale_rows})\n")
     subprocess.run([sys.executable, "-c", prep], check=True, cwd=repo)
 
     def run(ncpu: int) -> dict:
         # OMP_NUM_THREADS also caps the DRIVER's arrow thread pool, so the
         # "N cpus" leg cannot borrow extra host threads for driver-side
         # kernels (ray already caps workers per task)
-        env = dict(os.environ, RAY_GRAFT_CPUS=str(ncpu),
+        env = dict(os.environ,
                    RAY_GRAFT_BENCH=os.environ.get("GRAFT_SCALE_STAGE",
                                                   "flagship"),
                    GRAFT_CLIPS_N=str(scale_rows),
@@ -342,12 +310,12 @@ def run_scaling():
                        "GRAFT_SCALE_DECODE", "0"),
                    OMP_NUM_THREADS=str(ncpu))
         # taskset: pin the WHOLE process tree (driver, raylet, object
-        # store, workers) to exactly ncpu cores — ray.init(num_cpus=N)
-        # only caps worker slots, so without pinning the driver-side
-        # runtime free-rides on every other host core and the small leg
-        # reads faster than an N-core NODE ever could (the proxy is
-        # emulating node sizes, and on a node the driver shares the
-        # node's cores)
+        # store, workers) to exactly ncpu cores; the session sizes its
+        # worker slots from that affinity. Slots alone are not enough:
+        # without pinning the driver-side runtime free-rides on every
+        # other host core and the small leg reads faster than an N-core
+        # NODE ever could (the proxy is emulating node sizes, and on a
+        # node the driver shares the node's cores)
         cmd = ["taskset", "-c", f"0-{ncpu - 1}", sys.executable,
                os.path.abspath(__file__)]
         out = subprocess.run(cmd, env=env, capture_output=True,
@@ -406,8 +374,8 @@ if __name__ == "__main__":
     if "--scaling" in sys.argv:
         run_scaling()
     else:
-        result = run_benchmarks()
-        print(json.dumps(result))
-        import ray
+        from jschon_ray.runtime import session
 
-        ray.shutdown()
+        with session():
+            result = run_benchmarks()
+        print(json.dumps(result))

@@ -14,15 +14,16 @@ stage over zero-copy Arrow batches:
   8. similarity     — exact cosine top-3 for the first 2 chunks
 
 Run: PYTHONPATH=/root/repo python examples/audio_curation.py
-(owns the Ray session; library code never calls ray.init).
+(owns the Ray session via jschon_ray.runtime; library code never
+starts Ray).
 """
 import json
 
 import numpy as np
-import ray
 import ray.data
 
 from jschon_ray.functions.similarity import ann_topk
+from jschon_ray.runtime import session
 from jschon_ray.sources.clips import generate_clips
 from jschon_ray.stages.analysis import (AudioChunker, AudioQC, Compressor,
                                         SilenceTrimmer, WavWriter)
@@ -31,9 +32,6 @@ from jschon_ray.stages.taskpool import stage_fn
 
 
 def main():
-    ray.init(address="local", num_cpus=4, include_dashboard=False,
-             logging_level="ERROR")
-    ray.data.DataContext.get_current().enable_progress_bars = False
     out = {}
 
     clips = ray.data.from_arrow(generate_clips(600, seed=17))
@@ -106,8 +104,8 @@ def main():
         for r in top.itertuples()]
 
     print(json.dumps(out, default=str, indent=2))
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    with session():
+        main()

@@ -8,17 +8,12 @@ the closure runs through Ray Data because label propagation is
 inherently iterative-distributed.
 """
 
-import ray
+import pandas as pd
 import ray.data
 
-ray.init(address="local", num_cpus=4, include_dashboard=False,
-         logging_level="ERROR")
-ray.data.DataContext.get_current().enable_progress_bars = False
-
-import pandas as pd  # noqa: E402
-
-from jschon_ray.functions.dedup import jaccard, _word_shingles  # noqa: E402
-from jschon_ray.functions.graph import connected_components  # noqa: E402
+from jschon_ray.functions.dedup import jaccard, _word_shingles
+from jschon_ray.functions.graph import connected_components
+from jschon_ray.runtime import session
 
 DOCS = {
     1: "the quick brown fox jumps over the lazy dog",
@@ -29,26 +24,31 @@ DOCS = {
     6: "nothing like any of the others at all here",
 }
 
-shingles = {i: set(_word_shingles(t, 3)) for i, t in DOCS.items()}
-pairs = []
-for a in sorted(DOCS):
-    for b in sorted(DOCS):
-        if a < b:
-            j = jaccard(shingles[a], shingles[b])
-            if j >= 0.25:
-                pairs.append((a, b, j))
-                print(f"pair ({a},{b})  jaccard={j:.3f}")
 
-edges = ray.data.from_pandas(pd.DataFrame(
-    [(a, b) for a, b, _ in pairs], columns=["id_a", "id_b"]))
-cc = connected_components(edges).to_pandas().sort_values("node")
+def main():
+    shingles = {i: set(_word_shingles(t, 3)) for i, t in DOCS.items()}
+    pairs = []
+    for a in sorted(DOCS):
+        for b in sorted(DOCS):
+            if a < b:
+                j = jaccard(shingles[a], shingles[b])
+                if j >= 0.25:
+                    pairs.append((a, b, j))
+                    print(f"pair ({a},{b})  jaccard={j:.3f}")
 
-print("\nclusters (component = min doc id):")
-for _, row in cc.iterrows():
-    keep = "KEEP" if row["node"] == row["component"] else "drop"
-    print(f"  doc {row['node']} -> cluster {row['component']}  [{keep}]")
+    edges = ray.data.from_pandas(pd.DataFrame(
+        [(a, b) for a, b, _ in pairs], columns=["id_a", "id_b"]))
+    cc = connected_components(edges).to_pandas().sort_values("node")
 
-singletons = sorted(set(DOCS) - set(cc["node"]))
-print(f"\nunpaired docs (trivially kept): {singletons}")
+    print("\nclusters (component = min doc id):")
+    for _, row in cc.iterrows():
+        keep = "KEEP" if row["node"] == row["component"] else "drop"
+        print(f"  doc {row['node']} -> cluster {row['component']}  [{keep}]")
 
-ray.shutdown()
+    singletons = sorted(set(DOCS) - set(cc["node"]))
+    print(f"\nunpaired docs (trivially kept): {singletons}")
+
+
+if __name__ == "__main__":
+    with session():
+        main()

@@ -10,18 +10,19 @@ delivery of audio clips:
   5. fingerprint    — content-level duplicate pairs across the clean set
 
 Run: PYTHONPATH=/root/repo python examples/delivery_curation.py
-(owns the Ray session; library code never calls ray.init).
+(owns the Ray session via jschon_ray.runtime; library code never
+starts Ray).
 """
 import json
 import os
 import tempfile
 
-import ray
 import ray.data
 
 from jschon_ray.functions.diff import snapshot_diff
 from jschon_ray.functions.repair import repair_dataset
 from jschon_ray.pipelines.quarantine import quarantine_split
+from jschon_ray.runtime import session
 from jschon_ray.sources.clips import generate_clips, generate_fp_clips
 from jschon_ray.stages.fingerprint import (AudioFingerprinter,
                                            fingerprint_match_pairs)
@@ -49,8 +50,6 @@ SPEC_V2 = {**SPEC_V1, "$id": "https://example.dev/specs/clips-v2",
 
 
 def main():
-    ray.init(address="local", num_cpus=8, include_dashboard=False,
-             logging_level="ERROR")
     out = {}
 
     # 1. contract evolution: v1 -> v2 must be compatible before swap
@@ -98,8 +97,8 @@ def main():
                               zip(pairs["id_a"], pairs["id_b"]))
                           == truth}
     print(json.dumps(out, default=str, indent=2))
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    with session():
+        main()

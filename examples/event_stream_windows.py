@@ -7,18 +7,13 @@ Mirrors the reference's golden-output example pattern
 (/root/reference/tests/test_examples.py:9-28).
 """
 
-import ray
+import numpy as np
+import pyarrow as pa
 import ray.data
 
-ray.init(address="local", num_cpus=4, include_dashboard=False,
-         logging_level="ERROR")
-ray.data.DataContext.get_current().enable_progress_bars = False
-
-import numpy as np  # noqa: E402
-import pyarrow as pa  # noqa: E402
-
-from jschon_ray.functions.windows import (  # noqa: E402
+from jschon_ray.functions.windows import (
     keyed_distinct_runs, keyed_lag, keyed_latest, keyed_throttle)
+from jschon_ray.runtime import session
 
 ROWS = [
     # (user, ts, id, type, value)
@@ -47,22 +42,26 @@ def show(title, df, cols):
         print("  " + "  ".join(f"{c}={row[c]}" for c in cols))
 
 
-lag = keyed_lag(events(), key_col="user_id", ts_col="ts",
-                tie_col="event_id", value_col="value").to_pandas()
-show("lag deltas", lag, ["event_id", "gap_us", "value_delta"])
+def main():
+    lag = keyed_lag(events(), key_col="user_id", ts_col="ts",
+                    tie_col="event_id", value_col="value").to_pandas()
+    show("lag deltas", lag, ["event_id", "gap_us", "value_delta"])
 
-thr = keyed_throttle(events(), key_col="user_id", ts_col="ts",
-                     tie_col="event_id", min_gap_us=60_000_000) \
-    .to_pandas()
-show("throttle >=60s", thr, ["event_id", "gap_us"])
+    thr = keyed_throttle(events(), key_col="user_id", ts_col="ts",
+                         tie_col="event_id", min_gap_us=60_000_000) \
+        .to_pandas()
+    show("throttle >=60s", thr, ["event_id", "gap_us"])
 
-rle = keyed_distinct_runs(events(), key_col="user_id", ts_col="ts",
-                          tie_col="event_id", run_col="event_type") \
-    .to_pandas()
-show("state transitions", rle, ["event_id", "event_type"])
+    rle = keyed_distinct_runs(events(), key_col="user_id", ts_col="ts",
+                              tie_col="event_id", run_col="event_type") \
+        .to_pandas()
+    show("state transitions", rle, ["event_id", "event_type"])
 
-latest = keyed_latest(events(), key_cols=["user_id", "event_type"],
-                      ts_col="ts", tie_col="event_id").to_pandas()
-show("latest per (user,type)", latest, ["event_id", "event_type"])
+    latest = keyed_latest(events(), key_cols=["user_id", "event_type"],
+                          ts_col="ts", tie_col="event_id").to_pandas()
+    show("latest per (user,type)", latest, ["event_id", "event_type"])
 
-ray.shutdown()
+
+if __name__ == "__main__":
+    with session():
+        main()

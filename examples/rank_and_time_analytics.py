@@ -7,20 +7,15 @@ Mirrors the reference's golden-output example pattern
 (/root/reference/tests/test_examples.py:9-28).
 """
 
-import ray
+import numpy as np
+import pyarrow as pa
 import ray.data
 
-ray.init(address="local", num_cpus=4, include_dashboard=False,
-         logging_level="ERROR")
-ray.data.DataContext.get_current().enable_progress_bars = False
-
-import numpy as np  # noqa: E402
-import pyarrow as pa  # noqa: E402
-
-from jschon_ray.functions.relational import (  # noqa: E402
+from jschon_ray.functions.relational import (
     grouped_spearman, grouped_weighted_median_lowcard)
-from jschon_ray.functions.windows import (  # noqa: E402
+from jschon_ray.functions.windows import (
     keyed_cume_dist, session_stats)
+from jschon_ray.runtime import session
 
 EVENTS = [
     # (user, ts, id, value)
@@ -41,46 +36,50 @@ def events():
     }))
 
 
-print("== sessions (30m gap) ==")
-sess = session_stats(events(), gap_minutes=30).to_pandas() \
-    .sort_values(["user_id", "session_idx"])
-for r in sess.itertuples(index=False):
-    print(f"user={r.user_id} session={r.session_idx} "
-          f"events={r.n_events} dur_s={r.dur_us // 1_000_000}")
+def main():
+    print("== sessions (30m gap) ==")
+    sess = session_stats(events(), gap_minutes=30).to_pandas() \
+        .sort_values(["user_id", "session_idx"])
+    for r in sess.itertuples(index=False):
+        print(f"user={r.user_id} session={r.session_idx} "
+              f"events={r.n_events} dur_s={r.dur_us // 1_000_000}")
 
-print("== cume_dist of value within user ==")
-cents = events().map_batches(
-    lambda t: pa.table({"user_id": t["user_id"],
-                        "event_id": t["event_id"],
-                        "cents": (t["value"].to_numpy() * 100)
-                        .astype("int64")}),
-    batch_format="pyarrow")
-cd = keyed_cume_dist(cents, key_col="user_id", value_col="cents",
-                     tie_col="event_id").to_pandas() \
-    .sort_values("event_id")
-for r in cd.itertuples(index=False):
-    print(f"event={r.event_id} cents={r.cents} cd={r.cd:.3f}")
+    print("== cume_dist of value within user ==")
+    cents = events().map_batches(
+        lambda t: pa.table({"user_id": t["user_id"],
+                            "event_id": t["event_id"],
+                            "cents": (t["value"].to_numpy() * 100)
+                            .astype("int64")}),
+        batch_format="pyarrow")
+    cd = keyed_cume_dist(cents, key_col="user_id", value_col="cents",
+                         tie_col="event_id").to_pandas() \
+        .sort_values("event_id")
+    for r in cd.itertuples(index=False):
+        print(f"event={r.event_id} cents={r.cents} cd={r.cd:.3f}")
 
-print("== weighted median (weight = event_id) ==")
-w = events().map_batches(
-    lambda t: pa.table({"g": pa.array(["all"] * t.num_rows),
-                        "v": (t["value"].to_numpy() * 100)
-                        .astype("int64"),
-                        "w": t["event_id"]}),
-    batch_format="pyarrow")
-wm = grouped_weighted_median_lowcard(w, key="g", value_col="v",
-                                     weight_col="w").to_pandas()
-print(f"wmedian_cents={int(wm['wmedian'].iloc[0])} "
-      f"total_w={int(wm['total_w'].iloc[0])}")
+    print("== weighted median (weight = event_id) ==")
+    w = events().map_batches(
+        lambda t: pa.table({"g": pa.array(["all"] * t.num_rows),
+                            "v": (t["value"].to_numpy() * 100)
+                            .astype("int64"),
+                            "w": t["event_id"]}),
+        batch_format="pyarrow")
+    wm = grouped_weighted_median_lowcard(w, key="g", value_col="v",
+                                         weight_col="w").to_pandas()
+    print(f"wmedian_cents={int(wm['wmedian'].iloc[0])} "
+          f"total_w={int(wm['total_w'].iloc[0])}")
 
-print("== spearman rho (value vs event order) ==")
-sp = events().map_batches(
-    lambda t: pa.table({"g": pa.array(["all"] * t.num_rows),
-                        "x": t["event_id"],
-                        "y": (t["value"].to_numpy() * 100)
-                        .astype("int64")}),
-    batch_format="pyarrow")
-rho = grouped_spearman(sp, key="g", x_col="x", y_col="y").to_pandas()
-print(f"n={int(rho['n'].iloc[0])} rho={rho['rho'].iloc[0]:.4f}")
+    print("== spearman rho (value vs event order) ==")
+    sp = events().map_batches(
+        lambda t: pa.table({"g": pa.array(["all"] * t.num_rows),
+                            "x": t["event_id"],
+                            "y": (t["value"].to_numpy() * 100)
+                            .astype("int64")}),
+        batch_format="pyarrow")
+    rho = grouped_spearman(sp, key="g", x_col="x", y_col="y").to_pandas()
+    print(f"n={int(rho['n'].iloc[0])} rho={rho['rho'].iloc[0]:.4f}")
 
-ray.shutdown()
+
+if __name__ == "__main__":
+    with session():
+        main()

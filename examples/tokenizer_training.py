@@ -8,14 +8,10 @@ corpus ONCE (word-frequency Dataset); every merge round runs over the
 vocabulary table only (functions/text.py bpe_train).
 """
 
-import ray
 import ray.data
 
-ray.init(address="local", num_cpus=4, include_dashboard=False,
-         logging_level="ERROR")
-ray.data.DataContext.get_current().enable_progress_bars = False
-
-from jschon_ray.functions.text import bpe_train  # noqa: E402
+from jschon_ray.functions.text import bpe_train
+from jschon_ray.runtime import session
 
 CORPUS = [
     "low low low low low",
@@ -23,14 +19,6 @@ CORPUS = [
     "newest newest newest widest",
     "widest widest lowest lowest",
 ]
-
-ds = ray.data.from_items([{"text": t} for t in CORPUS],
-                         override_num_blocks=2)
-merges = bpe_train(ds, n_merges=8)
-print("learned merges:")
-for row in merges.itertuples(index=False):
-    print(f"  {row.rank:2d}. {row.left!r} + {row.right!r}"
-          f"  (count {row.pair_count})")
 
 
 def segment(word: str, table) -> list:
@@ -48,7 +36,19 @@ def segment(word: str, table) -> list:
     return syms
 
 
-print("segment('lowest') ->", segment("lowest", merges))
-print("segment('newer')  ->", segment("newer", merges))
+def main():
+    ds = ray.data.from_items([{"text": t} for t in CORPUS],
+                             override_num_blocks=2)
+    merges = bpe_train(ds, n_merges=8)
+    print("learned merges:")
+    for row in merges.itertuples(index=False):
+        print(f"  {row.rank:2d}. {row.left!r} + {row.right!r}"
+              f"  (count {row.pair_count})")
 
-ray.shutdown()
+    print("segment('lowest') ->", segment("lowest", merges))
+    print("segment('newer')  ->", segment("newer", merges))
+
+
+if __name__ == "__main__":
+    with session():
+        main()

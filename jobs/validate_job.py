@@ -21,9 +21,9 @@ Semantics (pipelines/resumable.py run_resumable_validation):
   * exactly one JSON summary line goes to stdout (job logs / driver
     scraping).
 
-In a cluster deployment `ray.init()` with no address attaches to the
-cluster the job was submitted to; standalone it starts local Ray. The
-library itself never calls ray.init (driver guidance).
+Under `ray job submit` (RAY_ADDRESS names the cluster) the session
+attaches to the cluster the job was submitted to; standalone it starts
+local Ray (jschon_ray/runtime.py). The library itself never starts Ray.
 """
 
 from __future__ import annotations
@@ -51,43 +51,19 @@ def main(argv=None) -> int:
                     help="standalone only; ignored under a cluster")
     args = ap.parse_args(argv)
 
-    import ray
-
-    if not ray.is_initialized():
-        # under `ray job submit` this attaches to the submitting
-        # cluster; standalone it starts a local session
-        if os.environ.get("RAY_ADDRESS"):
-            ray.init()
-        else:
-            def _tune_alloc():  # self-contained: hook unpickles before
-                import ctypes       # the repo is importable in the worker
-                try:
-                    libc = ctypes.CDLL("libc.so.6")
-                    libc.mallopt(-4, 0)
-                    libc.mallopt(-1, 1 << 30)
-                except Exception:
-                    pass
-            ray.init(address="local",
-                     num_cpus=args.num_cpus or os.cpu_count(),
-                     include_dashboard=False, logging_level="ERROR",
-                     runtime_env={
-                         "worker_process_setup_hook": _tune_alloc})
-    import ray.data
-
-    ray.data.DataContext.get_current().enable_progress_bars = False
-
     spec = None
     if args.spec:
         with open(args.spec) as f:
             spec = json.load(f)
 
     from jschon_ray.pipelines.resumable import run_resumable_validation
+    from jschon_ray.runtime import session
 
-    summary = run_resumable_validation(args.input, args.output,
-                                       spec=spec)
+    with session(args.num_cpus):
+        summary = run_resumable_validation(args.input, args.output,
+                                           spec=spec)
     summary.pop("profile", None)      # sketch blob: stays in the run dir
     print(json.dumps(summary, default=str))
-    ray.shutdown()
     return 0
 
 

@@ -17,8 +17,10 @@ Layout:
               partition manifests for checkpoint/resume
   pipelines/  end-to-end Dataset pipelines and the driver query registry
 
-Library code never calls ray.init()/ray.shutdown(); sessions are owned by
-bench.py / test fixtures / the driver.
+Only `runtime.session()` starts Ray, and only entry points call it: the
+CLI, jobs/, bench.py, scripts/, examples/ and the test fixture. Library
+code never starts or stops Ray, and `import jschon_ray` does not import
+`runtime`.
 """
 
 __version__ = "0.1.0"

@@ -1,7 +1,7 @@
 """CLI entry points: `python -m jschon_ray <command> ...`.
 
-The CLI owns the Ray session (the library never calls ray.init — driver
-guidance); every command streams from/to parquet|jsonl|csv via the TableIO
+The CLI owns the Ray session (`runtime.session`; the library never
+starts Ray); every command streams from/to parquet|jsonl|csv via the TableIO
 seam and prints ONE summary JSON line to stdout.
 
 Commands
@@ -27,18 +27,6 @@ import argparse
 import json
 import os
 import sys
-
-
-def _ray_up(num_cpus: int | None):
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=num_cpus or os.cpu_count(),
-                 include_dashboard=False, logging_level="ERROR")
-    import ray.data
-
-    ray.data.DataContext.get_current().enable_progress_bars = False
 
 
 def cmd_validate(args) -> dict:
@@ -359,15 +347,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_chunk)
 
     args = ap.parse_args(argv)
-    _ray_up(args.num_cpus)
-    try:
-        out = args.fn(args)
-        print(json.dumps(out, default=str))
-        return 0
-    finally:
-        import ray
+    from .runtime import session
 
-        ray.shutdown()
+    with session(args.num_cpus):
+        print(json.dumps(args.fn(args), default=str))
+    return 0
 
 
 if __name__ == "__main__":

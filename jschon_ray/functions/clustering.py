@@ -67,17 +67,12 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", k: int = 8,
     iterations re-read object-store blocks, not the upstream pipeline."""
     import ray
 
+    from .similarity import seeded_sample
+
     narrow = ds.select_columns([vec_col]).materialize()
-    sample = _batch_matrix(
-        pa.Table.from_pandas(narrow.limit(sample_size).to_pandas()).replace_schema_metadata(None),
-        vec_col)
-    # limit() returns blocks in completion order, which is NOT stable
-    # across executions — and k-means++ indexes the sample through the
-    # seeded rng, so an unstable row order silently changes the init
-    # (observed: 0.11 centroid drift between runs at sf0.001). Fix the
-    # order lexicographically by coordinates before seeding.
-    if len(sample):
-        sample = sample[np.lexsort(sample.T[::-1])]
+    # row order fixed before the seeded k-means++ init (an unstable order
+    # drifted centroids by 0.11 between runs at sf0.001)
+    sample = seeded_sample(narrow, vec_col, sample_size)
     rng = np.random.default_rng(seed)
     cents = _kmeanspp(sample, k, rng)
     d = cents.shape[1]

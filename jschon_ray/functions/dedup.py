@@ -141,12 +141,16 @@ def jaccard(a: set, b: set) -> float:
 def minhash_lsh_pairs(ds, id_col: str, text_col: str, *,
                       threshold: float = 0.5, shingle_k: int = 3,
                       num_perm: int = 64, bands: int = 16,
-                      max_bucket: int = 50, n_buckets: int = 64):
+                      max_bucket: int = 50, n_buckets: int = 64,
+                      score: bool = True):
     """Near-duplicate pairs via MinHash-LSH + exact-Jaccard verification.
 
     Returns a LAZY Dataset (id_a, id_b, jaccard) with id_a < id_b —
     matched pairs never materialize on the driver; at scale consume
     with write_parquet or feed `connected_components` directly.
+    ``score=False`` drops the jaccard column from every block (project
+    here, not with ``select_columns`` afterwards: Ray's projection passes
+    zero-row blocks through unchanged, so the schema seed would keep it).
 
     Fully distributed, five bounded stages:
       1. map_batches: minhash signatures -> (id, band, bucket-hash) rows,
@@ -335,6 +339,10 @@ def minhash_lsh_pairs(ds, id_col: str, text_col: str, *,
     final_in = partials.union(cand.map_batches(
         cand_tag, batch_format="pyarrow"))
 
+    cols = ["id_a", "id_b", "jaccard"] if score else ["id_a", "id_b"]
+    empty = _empty_pair_table(id_type, [("jaccard", pa.float64())]) \
+        .select(cols)
+
     def finish(g: pd.DataFrame):
         is_c = g["is_cand"] == 1
         want = g.loc[is_c, ["id_a", "id_b"]].drop_duplicates()
@@ -343,20 +351,18 @@ def minhash_lsh_pairs(ds, id_col: str, text_col: str, *,
             sz_b=("sz_b", "first")).reset_index()
         agg = agg.merge(want, on=["id_a", "id_b"], how="inner")
         if not len(agg):
-            return _empty_pair_table(id_type,
-                                     [("jaccard", pa.float64())])
+            return empty
         inter = agg["inter"].to_numpy().astype(np.int64)
         uni = agg["sz_a"].to_numpy().astype(np.int64) \
             + agg["sz_b"].to_numpy().astype(np.int64) - inter
         agg["jaccard"] = inter / uni
         agg = agg[agg["jaccard"] >= threshold]
-        return pa.Table.from_pandas(agg[["id_a", "id_b", "jaccard"]],
-                                    preserve_index=False).replace_schema_metadata(None)
+        return pa.Table.from_pandas(agg[cols], preserve_index=False) \
+            .replace_schema_metadata(None)
 
     out = final_in.groupby("pair_bucket").map_groups(
         finish, batch_format="pandas")
-    return _with_schema_seed(
-        out, _empty_pair_table(id_type, [("jaccard", pa.float64())]))
+    return _with_schema_seed(out, empty)
 
 
 def _with_schema_seed(out, table: pa.Table):
@@ -433,7 +439,7 @@ def hamming64(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def simhash_pairs(ds, id_col: str, text_col: str, *, max_hamming: int = 3,
                   bands: int = 4, n_buckets: int = 64,
-                  max_bucket: int = 200):
+                  max_bucket: int = 200, score: bool = True):
     """Near-dup pairs by SimHash: band the 64-bit signature into `bands`
     16-bit chunks (two equal chunks guarantee candidates for hamming<=3),
     groupby chunk buckets, verify exact hamming distance in-bucket.
@@ -441,7 +447,8 @@ def simhash_pairs(ds, id_col: str, text_col: str, *, max_hamming: int = 3,
     Returns a LAZY Dataset (id_a, id_b, hamming), id_a < id_b — matched
     pairs never materialize on the driver (cross-band dedup happens in a
     pair_bucket groupby, the same coarse-bucket trick as
-    `ngram_jaccard_pairs` stage 3)."""
+    `ngram_jaccard_pairs` stage 3). ``score=False`` drops the hamming
+    column, as in `minhash_lsh_pairs`."""
     id_type = _col_type(ds, id_col)
 
     from .graph import pair_bucket_of
@@ -527,15 +534,18 @@ def simhash_pairs(ds, id_col: str, text_col: str, *, max_hamming: int = 3,
     pairs = banded.groupby("route").map_groups(
         route_pairs, batch_format="pandas")
 
+    cols = ["id_a", "id_b", "hamming"] if score else ["id_a", "id_b"]
+
     def dedup_bucket(g: pd.DataFrame):
         out = g.drop_duplicates(["id_a", "id_b"])
-        return pa.Table.from_pandas(out[["id_a", "id_b", "hamming"]],
-                                    preserve_index=False).replace_schema_metadata(None)
+        return pa.Table.from_pandas(out[cols], preserve_index=False) \
+            .replace_schema_metadata(None)
 
     out = pairs.groupby("pair_bucket").map_groups(
         dedup_bucket, batch_format="pandas")
     return _with_schema_seed(
-        out, _empty_pair_table(id_type, [("hamming", pa.int64())]))
+        out, _empty_pair_table(id_type, [("hamming", pa.int64())])
+        .select(cols))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,30 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+def seeded_sample(ds, col: str, n: int, *, frac: float | None = None,
+                  seed: int | None = None,
+                  normalize: bool = False) -> np.ndarray:
+    """Up to `n` rows of the vector column `col` as a float64 matrix in a
+    reproducible row order (after a seeded ``random_sample(frac)`` when
+    `frac` is given, and row normalization when `normalize`).
+
+    Blocks arrive in completion order, which is not stable across
+    executions, and callers' seeded inits index this matrix by position,
+    so the rows are sorted lexicographically by coordinates."""
+    sample = ds.select_columns([col])
+    if frac is not None:
+        sample = sample.random_sample(frac, seed=seed)
+    mats = [_embedding_matrix(b, col)
+            for b in sample.limit(n).iter_batches(batch_format="pyarrow")
+            if b.num_rows]
+    if not mats:
+        return np.zeros((0, 0))
+    x = np.concatenate(mats)
+    if normalize:
+        x = _normalize(x)
+    return x[np.lexsort(x.T[::-1])]
+
+
 class TopKScorer:
     """map_batches actor: per-batch cosine top-k against broadcast queries."""
 
@@ -251,21 +275,8 @@ def train_centroids(ds, *, emb_col="embedding", n_centroids=16,
     At 10^12-row scale, replace sample_frac with a fixed-count
     reservoir — the interface stays the same.
     """
-    sample = ds.select_columns([emb_col]).random_sample(sample_frac,
-                                                        seed=seed)
-    mats = [
-        _embedding_matrix(b, emb_col)
-        for b in sample.limit(max_sample).iter_batches(
-            batch_format="pyarrow")
-        if b.num_rows
-    ]
-    x = _normalize(np.concatenate(mats))
-    # iter_batches yields blocks in completion order, which is not
-    # stable across executions; the seeded init indexes the sample, so
-    # fix the row order first (same determinism bug class as
-    # clustering.kmeans_fit's limit() sample)
-    if len(x):
-        x = x[np.lexsort(x.T[::-1])]
+    x = seeded_sample(ds, emb_col, max_sample, frac=sample_frac,
+                      seed=seed, normalize=True)
     rng = np.random.default_rng(seed)
     cent = x[rng.choice(len(x), min(n_centroids, len(x)), replace=False)]
     for _ in range(iters):
@@ -697,20 +708,8 @@ def pq_train(ds, *, emb_col="embedding", m=8, n_codes=256,
     (m * n_codes * d/m = n_codes * d floats) and broadcasts to every
     encode/score task. d must be divisible by m.
     """
-    sample = ds.select_columns([emb_col]).random_sample(sample_frac,
-                                                        seed=seed)
-    mats = [
-        _embedding_matrix(b, emb_col)
-        for b in sample.limit(max_sample).iter_batches(
-            batch_format="pyarrow")
-        if b.num_rows
-    ]
-    x = _normalize(np.concatenate(mats))
-    # same determinism rule as train_centroids/kmeans_fit: block arrival
-    # order is unstable across executions and the seeded init indexes
-    # the sample — fix the row order first
-    if len(x):
-        x = x[np.lexsort(x.T[::-1])]
+    x = seeded_sample(ds, emb_col, max_sample, frac=sample_frac,
+                      seed=seed, normalize=True)
     d = x.shape[1]
     if d % m:
         raise ValueError(f"dim {d} not divisible by m={m}")

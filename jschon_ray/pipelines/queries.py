@@ -3620,8 +3620,8 @@ def q_minhash_docs(sf_dir):
 
     ds = read_table(table_path(sf_dir, "documents"),
                     columns=["doc_id", "text"])
-    out = minhash_lsh_pairs(ds, "doc_id", "text", threshold=0.2)
-    return out.select_columns(["id_a", "id_b"])
+    return minhash_lsh_pairs(ds, "doc_id", "text", threshold=0.2,
+                             score=False)
 
 
 def q_simhash_docs(sf_dir):
@@ -3629,8 +3629,7 @@ def q_simhash_docs(sf_dir):
 
     ds = read_table(table_path(sf_dir, "documents"),
                     columns=["doc_id", "text"])
-    out = simhash_pairs(ds, "doc_id", "text", max_hamming=8)
-    return out.select_columns(["id_a", "id_b"])
+    return simhash_pairs(ds, "doc_id", "text", max_hamming=8, score=False)
 
 
 def q_embedding_neardup_lsh(sf_dir):

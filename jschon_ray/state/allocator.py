@@ -30,15 +30,22 @@ from __future__ import annotations
 
 import os
 
-_done = False
+# (pid, applied) of the last call. Keyed by pid: a by-value pickled copy
+# of this function (the session's worker set-up hook) carries the
+# driver's state into a worker, and a forked child inherits its parent's.
+_tuned: tuple[int, bool] | None = None
 
 
 def tune_worker_allocator() -> bool:
     """Idempotent per-process mallopt tuning; returns True if applied."""
-    global _done
-    if _done:
-        return True
-    _done = True  # attempt once per process either way
+    global _tuned
+    pid = os.getpid()
+    if _tuned is None or _tuned[0] != pid:
+        _tuned = (pid, _mallopt())
+    return _tuned[1]
+
+
+def _mallopt() -> bool:
     if os.environ.get("JSCHON_RAY_NO_MALLOPT"):
         return False
     try:

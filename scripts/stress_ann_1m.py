@@ -57,17 +57,12 @@ def gen_batch(batch: pa.Table) -> pa.Table:
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
-    import ray
     import ray.data as rd
-
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
 
     from jschon_ray.functions.similarity import (ann_topk,
                                                  ann_topk_ivf_from_index,
                                                  build_ivf_index)
+    from jschon_ray.sources.io import cluster_cpus
 
     idx_dir = "/tmp/ann_stress_idx"
     shutil.rmtree(idx_dir, ignore_errors=True)
@@ -146,10 +141,12 @@ def main():
         "recall_at_10_mean": round(float(np.mean(recalls)), 4),
         "recall_at_10_min": round(float(np.min(recalls)), 4),
         "driver_max_rss_gb": round(rss_gb, 2),
-        "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        "num_cpus": cluster_cpus(),
     }))
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    from jschon_ray.runtime import session
+
+    with session():
+        main()

@@ -13,11 +13,13 @@ Usage: python scripts/stress_substring_lookup.py [substring|lookup|both]
 from __future__ import annotations
 
 import json
+import os
 import resource
 import sys
 import time
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
 
 import numpy as np
 import pyarrow as pa
@@ -168,14 +170,6 @@ def stress_lookup() -> dict:
 
 def main():
     which = sys.argv[1] if len(sys.argv) > 1 else "both"
-    import ray
-
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=32, include_dashboard=False,
-                 logging_level="ERROR")
-    import jschon_ray
-
-    jschon_ray.register_for_pickle_by_value()
     out = []
     if which in ("substring", "both"):
         out.append(stress_substring())
@@ -183,8 +177,10 @@ def main():
     if which in ("lookup", "both"):
         out.append(stress_lookup())
         print(json.dumps(out[-1]), flush=True)
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    from jschon_ray.runtime import session
+
+    with session():
+        main()

@@ -136,13 +136,9 @@ def partial_rates(t: pa.Table) -> pa.Table:
 
 def main():
     n_docs = int(sys.argv[1]) if len(sys.argv) > 1 else 1_000_000
-    import ray
     import ray.data as rd
 
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
+    from jschon_ray.sources.io import cluster_cpus
 
     t0 = time.perf_counter()
     ds = rd.range(n_docs, override_num_blocks=256) \
@@ -194,10 +190,12 @@ def main():
         "driver_max_rss_gb": round(rss_gb, 2),
         "parity_sample": 2000,
         "parity_mismatches": mism,
-        "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        "num_cpus": cluster_cpus(),
     }))
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    from jschon_ray.runtime import session
+
+    with session():
+        main()

@@ -58,19 +58,13 @@ def gen_batch(batch: pa.Table) -> pa.Table:
 
 def main():
     n = int(sys.argv[1]) if len(sys.argv) > 1 else 10_000_000
-    import ray
     import ray.data as rd
-
-    if not ray.is_initialized():
-        ray.init(address="local",
-                 num_cpus=int(os.environ.get("RAY_GRAFT_CPUS", "32")),
-                 include_dashboard=False, logging_level="ERROR")
 
     from jschon_ray.functions.windows import (keyed_ewma, keyed_lag,
                                               keyed_rolling_stats,
                                               session_counts,
                                               tumbling_agg)
-    from jschon_ray.sources.io import read_table
+    from jschon_ray.sources.io import cluster_cpus, read_table
 
     data_dir = "/tmp/windows_stress_events"
     shutil.rmtree(data_dir, ignore_errors=True)
@@ -164,10 +158,12 @@ FROM read_parquet('{data_dir}/*.parquet') GROUP BY 1, 2""").df()
         "sessions_match_duckdb": bool(sess_match),
         "tumbling_match_duckdb": tumb_match,
         "driver_max_rss_gb": round(rss_gb, 2),
-        "num_cpus": int(os.environ.get("RAY_GRAFT_CPUS", "32")),
+        "num_cpus": cluster_cpus(),
     }))
-    ray.shutdown()
 
 
 if __name__ == "__main__":
-    main()
+    from jschon_ray.runtime import session
+
+    with session():
+        main()

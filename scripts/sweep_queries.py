@@ -70,12 +70,6 @@ def main() -> int:
     if "--only" in sys.argv:
         only = set(sys.argv[sys.argv.index("--only") + 1].split(","))
 
-    import ray
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=8, include_dashboard=False,
-                 ignore_reinit_error=True,
-                 logging_level="ERROR")
-
     from jschon_ray.pipelines.queries import build_oracles, build_queries
 
     con = duckdb.connect()
@@ -137,9 +131,12 @@ def main() -> int:
 
     print(json.dumps({"sf_dir": sf_dir, "total": len(results),
                       "failed": n_fail}))
-    ray.shutdown()
     return 1 if n_fail else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from jschon_ray.runtime import session
+
+    with session():
+        rc = main()
+    sys.exit(rc)

@@ -9,13 +9,7 @@ sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 @pytest.fixture(scope="session")
 def ray_session():
     """One Ray session for the whole pytest run (driver guidance)."""
-    import ray
+    from jschon_ray.runtime import session
 
-    if not ray.is_initialized():
-        ray.init(address="local", num_cpus=4, include_dashboard=False,
-                 ignore_reinit_error=True, logging_level="ERROR")
-    import ray.data
-    ctx = ray.data.DataContext.get_current()
-    ctx.enable_progress_bars = False
-    yield
-    ray.shutdown()
+    with session():
+        yield

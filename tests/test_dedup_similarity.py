@@ -951,3 +951,26 @@ def test_ann_index_rebuild_crash_window_recovery(ray_session, tmp_path):
     os.makedirs(base + ".rebuild")             # no manifest inside
     rec2 = AnnIndex(base)
     pd.testing.assert_frame_equal(rec2.probe(q, k=3, nprobe=4), want)
+
+
+@pytest.mark.parametrize("query", ["q_minhash_docs", "q_simhash_docs"])
+def test_pair_queries_emit_one_schema(ray_session, query):
+    """Every output block of the pairs-only queries carries (id_a, id_b):
+    the zero-row schema seed included, which a select_columns after the
+    seed used to leave with its score column."""
+    import ray
+    from ray.data.block import BlockAccessor
+
+    from jschon_ray.pipelines import queries as Q
+
+    ds = getattr(Q, query)("/root/testdata/sf0.001")
+    schemas = set()
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, _meta in bundle.blocks:
+            acc = BlockAccessor.for_block(ray.get(ref))
+            # a shuffle partition with no groups yields a block with no
+            # columns at all; it carries no schema to disagree with
+            if acc.column_names():
+                schemas.add(acc.schema())
+    assert schemas == {pa.schema([("id_a", pa.int64()),
+                                  ("id_b", pa.int64())])}
