@@ -30,9 +30,12 @@ import sys
 
 
 def cmd_validate(args) -> dict:
-    from .pipelines.validate import validate_dataset, summarize_verdicts
+    from .pipelines.validate import (
+        explode_violations,
+        summarize_verdicts,
+        validate_dataset,
+    )
     from .sources.io import read_table, write_table
-    from .stages.validate import ViolationExploder
 
     with open(args.spec) as f:
         spec = json.load(f)
@@ -41,11 +44,8 @@ def cmd_validate(args) -> dict:
     if args.output:
         write_table(verdicts, os.path.join(args.output, "verdicts"))
         verdicts = read_table(os.path.join(args.output, "verdicts"))
-        viol = verdicts.map_batches(
-            ViolationExploder, batch_format="pyarrow",
-            fn_constructor_kwargs=dict(key_cols=args.key_cols.split(",")),
-            concurrency=(1, 4))
-        write_table(viol, os.path.join(args.output, "violations"))
+        write_table(explode_violations(verdicts, args.key_cols.split(",")),
+                    os.path.join(args.output, "violations"))
     return summarize_verdicts(verdicts)
 
 

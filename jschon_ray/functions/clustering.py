@@ -28,16 +28,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-
-def _batch_matrix(t: pa.Table, vec_col: str) -> np.ndarray:
-    """(n, d) float64 view of a fixed-dim list<float> column."""
-    col = t[vec_col].combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False) \
-        .astype(np.float64)
-    n = len(col)
-    if n == 0:
-        return flat.reshape(0, 0)
-    return flat.reshape(n, len(flat) // n)
+from .similarity import _embedding_matrix, seeded_sample
 
 
 def _assign(x: np.ndarray, cents: np.ndarray):
@@ -67,8 +58,6 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", k: int = 8,
     iterations re-read object-store blocks, not the upstream pipeline."""
     import ray
 
-    from .similarity import seeded_sample
-
     narrow = ds.select_columns([vec_col]).materialize()
     # row order fixed before the seeded k-means++ init (an unstable order
     # drifted centroids by 0.11 between runs at sf0.001)
@@ -85,7 +74,7 @@ def kmeans_fit(ds, *, vec_col: str = "embedding", k: int = 8,
             import ray as _ray
 
             c = _ray.get(ref) if isinstance(ref, _ray.ObjectRef) else ref
-            x = _batch_matrix(t, vec_col)
+            x = _embedding_matrix(t, vec_col)
             if x.shape[0] == 0:
                 z = np.zeros(k * d + k + 1)
                 return pa.table({"blob": pa.array([z.tolist()],
@@ -132,7 +121,7 @@ def kmeans_assign(ds, centroids: np.ndarray, *, id_col: str,
 
     def assign(t: pa.Table) -> pa.Table:
         c = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-        x = _batch_matrix(t, vec_col)
+        x = _embedding_matrix(t, vec_col)
         lab, d2 = _assign(x, c)
         return pa.table({id_col: t[id_col],
                          out: pa.array(lab.astype(np.int64)),
@@ -154,7 +143,7 @@ def pca_fit(ds, *, vec_col: str = "embedding", n_components: int = 8):
     'explained_variance_ratio' (descending). Population covariance
     (ddof=0) so tiny groups stay defined."""
     def partials(t: pa.Table) -> pa.Table:
-        x = _batch_matrix(t, vec_col).astype(np.float64)
+        x = _embedding_matrix(t, vec_col)
         n, d = x.shape
         s = x.sum(axis=0)
         g = x.T @ x
@@ -204,7 +193,7 @@ def pca_transform(ds, model, *, id_col: str, vec_col: str = "embedding",
     comps = np.asarray(model["components"], np.float64)
 
     def project(t: pa.Table) -> pa.Table:
-        x = _batch_matrix(t, vec_col).astype(np.float64)
+        x = _embedding_matrix(t, vec_col)
         z = (x - mean) @ comps.T
         return pa.table({id_col: t[id_col],
                          out: pa.array(list(z.astype(np.float32)))})
@@ -223,7 +212,7 @@ def linear_probe_fit(ds, *, vec_col: str = "embedding",
     Returns {'classes', 'W' (dim+1, k; last row is the bias via an
     appended ones-feature), 'n'}."""
     def partials(t: pa.Table) -> pa.Table:
-        x = _batch_matrix(t, vec_col).astype(np.float64)
+        x = _embedding_matrix(t, vec_col)
         n = x.shape[0]
         x1 = np.concatenate([x, np.ones((n, 1))], axis=1)
         y = np.asarray(t[label_col].to_pylist())
@@ -275,7 +264,7 @@ def linear_probe_score(ds, model, *, vec_col: str = "embedding",
     classes = np.asarray(model["classes"], np.int64)
 
     def score(t: pa.Table) -> pa.Table:
-        x = _batch_matrix(t, vec_col).astype(np.float64)
+        x = _embedding_matrix(t, vec_col)
         x1 = np.concatenate([x, np.ones((x.shape[0], 1))], axis=1)
         pred = classes[np.argmax(x1 @ w, axis=1)]
         y = np.asarray(t[label_col].to_pylist(), np.int64)

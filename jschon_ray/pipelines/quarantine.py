@@ -26,7 +26,7 @@ from .validate import validate_dataset
 
 def quarantine_split(ds, spec, out_dir: str, *, keep_columns=None,
                      drop_payload_in_quarantine=True,
-                     payload_cols=("bytes",), **validate_kwargs):
+                     payload_cols=("bytes",)):
     """Validate `ds` against `spec` and write clean/quarantine sinks.
 
     Returns {'n': total, 'n_clean': ..., 'n_quarantined': ...,
@@ -37,8 +37,7 @@ def quarantine_split(ds, spec, out_dir: str, *, keep_columns=None,
     re-ingest tooling; payload blobs usually should not be duplicated
     into the quarantine sink (re-fetch by key instead).
     """
-    checked = validate_dataset(ds, spec, keep_columns=keep_columns,
-                               **validate_kwargs)
+    checked = validate_dataset(ds, spec, keep_columns=keep_columns)
     clean_dir = os.path.join(out_dir, "clean")
     quar_dir = os.path.join(out_dir, "quarantine")
 

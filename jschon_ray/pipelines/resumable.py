@@ -19,19 +19,15 @@ from __future__ import annotations
 import glob
 import os
 
-import pyarrow.compute as pc
-
 from ..sources.io import read_table, write_table
 from ..state.manifest import Manifest, shard_id_for
 from ..state.profile import TableProfile
 from .specs import CLIP_SPEC
 from .validate import (
-    discharge_payload_checks,
+    clip_dataset_checks,
+    clip_verdicts,
     explode_violations,
-    referential_violations,
     summarize_verdicts,
-    uniqueness_violations,
-    validate_dataset,
 )
 
 
@@ -65,21 +61,11 @@ def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
         # per-shard stats discharge: shards whose metadata proves `bytes`
         # non-null skip the payload scan entirely (per-file granularity —
         # a dirty shard only costs itself)
-        sspec, pruned = discharge_payload_checks(spec, [path], "bytes")
-        if pruned:
-            import pyarrow.parquet as pq
-            cols = [c for c in pq.read_schema(path).names if c != "bytes"]
-            ds = read_table(path, columns=cols)
-            verdicts = validate_dataset(ds, sspec)
-        else:
-            ds = read_table(path)
-            verdicts = validate_dataset(ds, sspec).drop_columns(["bytes"])
-        write_table(verdicts, vdir)
+        write_table(clip_verdicts(path, spec), vdir)
 
         # read back the (bytes-free) verdicts for the cheap derived outputs
         vds = read_table(vdir)
-        write_table(explode_violations(vds, key_cols=("clip_id",)),
-                    os.path.join(out_dir, "violations", f"shard={sid}"))
+        write_table(explode_violations(vds), xdir)
         summary = summarize_verdicts(vds)
 
         prof = profile_dataset(read_table(path, columns=list(profile_columns)),
@@ -111,14 +97,8 @@ def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
 
     verdict_files = sorted(glob.glob(
         os.path.join(out_dir, "verdicts", "shard=*", "*.parquet")))
-    all_keys = read_table(verdict_files, columns=["clip_id"])
-    dupes = uniqueness_violations(all_keys, key="clip_id")
-    n_dupes = dupes.count()
-    codecs_ds = read_table(verdict_files, columns=["clip_id", "codec"])
-    from ..sources.clips import codecs_dim_table
-    refv = referential_violations(
-        codecs_ds, "codec", codecs_dim_table()["codec"].to_pylist())
-    total["n_dupe_keys"] = n_dupes
+    dupes, refv = clip_dataset_checks(verdict_files)
+    total["n_dupe_keys"] = dupes.count()
     total["n_referential"] = refv.count()
     total["shards_processed"] = len(pending)
     total["shards_skipped"] = skipped

@@ -3,17 +3,23 @@
 Pipeline shape (SURVEY.md §3.4):
 
     read (column-pruned, fragment-parallel)
-      -> map_batches(SpecValidator)          per-row constraint suite
+      -> map_batches(validate_batch_fn)      per-row constraint suite, fused
+                                             with the read
       -> [map_batches(ClipDecoder)]          opt-in decode/format checks
       -> groupby(clip_id) uniqueness         the one required shuffle
       -> broadcast semi-join vs codec dim    referential (NO shuffle)
       -> verdicts / violations / summary
 
+Each step has one builder, shared by the flagship, the resumable shard
+loop (`pipelines/resumable.py`) and the CLI: `clip_verdicts` (discharge ->
+read -> validate), `clip_dataset_checks` (uniqueness + referential) and
+`explode_violations`.
+
 Scale notes baked in:
-  * uniqueness shuffles ONLY the key column (select_columns first) — bytes
-    never enter a shuffle (SURVEY.md §7 hard part (e));
-  * the dimension table is broadcast via ray.put once and read per actor in
-    __init__, not re-shipped per batch;
+  * uniqueness and the semi-join read ONLY their key columns — bytes never
+    enter a shuffle (SURVEY.md §7 hard part (e));
+  * a large dimension key set is put in the object store once and read per
+    actor in __init__, not re-shipped per batch;
   * everything returns lazy Datasets; callers consume via write/iter.
 """
 
@@ -26,8 +32,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..sources.io import cluster_cpus
-from ..stages.validate import SpecValidator, ViolationExploder
+from ..sources.io import cluster_cpus, read_table, table_files, write_table
+from ..stages.validate import ViolationExploder, validate_batch_fn
 from .specs import CLIP_SPEC
 
 
@@ -37,40 +43,25 @@ def default_concurrency():
     return (1, max(2, cluster_cpus()))
 
 
-def validate_dataset(ds, spec, *, keep_columns=None, batch_size=4096,
-                     concurrency=None, formats_factory=None,
-                     check_spec=True):
-    """Append valid/violations to every row of `ds` (lazy).
+def validate_dataset(ds, spec, *, keep_columns=None):
+    """Append valid/violations to every row of `ds` (lazy); with
+    `keep_columns`, each output row keeps only those columns plus the two.
 
-    ``check_spec``: validate the spec against the vspec metaschema once,
-    driver-side, before compiling (the reference's metaschema step,
-    /root/reference/jschon/catalog/__init__.py:191-238).
-
-    Default path is a STATELESS task function (fuses with the upstream
-    read: payload columns never hop through the object store between read
-    and validate; the compiled plan is cached per worker process). Pass
-    `formats_factory` (stateful format validators) to switch to the actor
-    pool, which holds that state per actor."""
-    if check_spec and isinstance(spec, dict):
+    The spec is checked against the vspec metaschema once, driver-side,
+    before anything compiles (the reference's metaschema step,
+    /root/reference/jschon/catalog/__init__.py:191-238). Validation is a
+    STATELESS task function: it fuses with the upstream read, so payload
+    columns never hop through the object store between read and validate,
+    and the compiled plan is cached per worker process."""
+    if isinstance(spec, dict):
         from ..vspec.metaschema import validate_spec
 
         validate_spec(spec)
-    if formats_factory is None:
-        from ..stages.validate import validate_batch_fn
-
-        return ds.map_batches(
-            functools.partial(validate_batch_fn, spec=spec,
-                              keep_columns=keep_columns),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-        )
     return ds.map_batches(
-        SpecValidator,
-        fn_constructor_kwargs=dict(spec=spec, keep_columns=keep_columns,
-                                   formats_factory=formats_factory),
+        functools.partial(validate_batch_fn, spec=spec,
+                          keep_columns=keep_columns),
         batch_format="pyarrow",
-        batch_size=batch_size,
-        concurrency=concurrency or default_concurrency(),
+        batch_size=4096,
     )
 
 
@@ -215,102 +206,46 @@ def _explode_batch(batch, key_cols):
     return ViolationExploder(key_cols)(batch)
 
 
-def uniqueness_violations(ds, key="clip_id", *, hash_first=False):
+def uniqueness_violations(ds, key="clip_id"):
     """Keys appearing more than once — the `uniqueItems` analogue lifted
     across rows (/root/reference/jschon/vocabulary/validation.py:163-177).
     Output columns: (key, n_rows).
 
-    Default: ONE exact groupby shuffle on the key column — it streams at
-    any scale (per-block partial counts shuffle, nothing materializes on
-    the driver). ``hash_first=True`` switches to a two-phase plan that
-    shuffles only a 64-bit key hash and then exactly re-groups candidate
-    rows; measured faster when parallelism is scarce (serial string sort
-    dominates) but it collects the candidate-hash set on the driver, so it
-    assumes duplicates are a SMALL fraction — at 10^12 rows with ~1% dupes
-    that set no longer fits, which is why it is not the default.
+    ONE exact shuffle of the key columns — it streams at any scale
+    (nothing materializes on the driver). A hash-bucket co-group, not
+    groupby(key): ray's sort-based groupby range-partitions by sorting the
+    RAW key column — 2.3 s of string sorting for 100k clip_ids where the
+    same exactness needs only an int64 bucket sort + one arrow C++
+    group_by per bucket (measured ~4x faster; a key's rows never split
+    across buckets, so per-bucket counts are global).
     """
-    key_list = [key] if isinstance(key, str) else list(key)
-    keys = ds.select_columns(key_list)
-    if not hash_first:
-        # hash-bucket co-group, not groupby(key): ray's sort-based
-        # groupby range-partitions by sorting the RAW key column —
-        # 2.3 s of string sorting for 100k clip_ids where the same
-        # exactness needs only an int64 bucket sort + one arrow C++
-        # group_by per bucket (measured ~4x faster; a key's rows never
-        # split across buckets, so per-bucket counts are global)
-        from ..state.sketches import hash_array
-
-        num_buckets = 64
-
-        def tag(t: pa.Table) -> pa.Table:
-            import pandas as pd
-
-            h = hash_array(pd.Series(
-                t[key_list[0]].to_numpy(zero_copy_only=False)))
-            for k in key_list[1:]:
-                h = h ^ (hash_array(pd.Series(
-                    t[k].to_numpy(zero_copy_only=False)))
-                    * np.uint64(0x9E3779B97F4A7C15))
-            b = (h % np.uint64(num_buckets)).astype(np.int64)
-            return t.select(key_list).append_column("_b", pa.array(b))
-
-        def bucket_dupes(g: pa.Table) -> pa.Table:
-            c = g.group_by(key_list).aggregate([([], "count_all")])
-            c = c.filter(pc.greater(c["count_all"], 1))
-            return pa.table(
-                {**{k: c[k] for k in key_list},
-                 "n_rows": c["count_all"].cast(pa.int64())})
-
-        return keys.map_batches(tag, batch_format="pyarrow") \
-            .groupby("_b").map_groups(bucket_dupes,
-                                      batch_format="pyarrow")
-    if len(key_list) > 1:
-        raise ValueError("hash_first supports a single key column")
-    key = key_list[0]
-
     from ..state.sketches import hash_array
 
-    def to_hash(t: pa.Table) -> pa.Table:
-        h = hash_array(t[key].to_pandas()).astype(np.int64)
-        return pa.table({"h": h})
+    key_list = [key] if isinstance(key, str) else list(key)
+    num_buckets = 64
 
-    hcounts = keys.map_batches(to_hash, batch_format="pyarrow") \
-        .groupby("h").count()
-    cand = hcounts.map_batches(
-        lambda t: t.filter(pc.greater(t["count()"], 1)).select(["h"]),
-        batch_format="pyarrow")
-    # candidate hashes ≈ (true dupe keys + ~0 collisions): small enough to
-    # collect and broadcast
-    cand_arr = np.sort(np.concatenate(
-        [b["h"].to_numpy(zero_copy_only=False)
-         for b in cand.iter_batches(batch_format="pyarrow")] or
-        [np.zeros(0, np.int64)]))
-    if not len(cand_arr):
-        import ray.data as rd
-        sch = ds.schema()
-        ktype = sch.types[sch.names.index(key)]
-        return rd.from_arrow(pa.table(
-            {key: pa.array([], ktype),
-             "n_rows": pa.array([], pa.int64())}))
-    if len(cand_arr) > 4_000_000:
-        # duplicate-heavy data: the candidate set is no longer "small";
-        # the direct exact shuffle is the better plan
-        return uniqueness_violations(ds, key, hash_first=False)
+    def tag(t: pa.Table) -> pa.Table:
+        import pandas as pd
 
-    def keep_candidates(t: pa.Table, cand=cand_arr) -> pa.Table:
-        h = hash_array(t[key].to_pandas()).astype(np.int64)
-        idx = np.searchsorted(cand, h)
-        idx[idx == len(cand)] = 0
-        return t.filter(pa.array(cand[idx] == h))
+        h = hash_array(pd.Series(
+            t[key_list[0]].to_numpy(zero_copy_only=False)))
+        for k in key_list[1:]:
+            h = h ^ (hash_array(pd.Series(
+                t[k].to_numpy(zero_copy_only=False)))
+                * np.uint64(0x9E3779B97F4A7C15))
+        b = (h % np.uint64(num_buckets)).astype(np.int64)
+        return t.select(key_list).append_column("_b", pa.array(b))
 
-    exact = keys.map_batches(keep_candidates, batch_format="pyarrow") \
-        .groupby(key).count()
+    def bucket_dupes(g: pa.Table) -> pa.Table:
+        c = g.group_by(key_list).aggregate([([], "count_all")])
+        c = c.filter(pc.greater(c["count_all"], 1))
+        return pa.table(
+            {**{k: c[k] for k in key_list},
+             "n_rows": c["count_all"].cast(pa.int64())})
 
-    def keep_dupes(t: pa.Table) -> pa.Table:
-        t = t.filter(pc.greater(t["count()"], 1))
-        return t.rename_columns([key, "n_rows"])
-
-    return exact.map_batches(keep_dupes, batch_format="pyarrow")
+    return ds.select_columns(key_list) \
+        .map_batches(tag, batch_format="pyarrow") \
+        .groupby("_b").map_groups(bucket_dupes, batch_format="pyarrow")
 
 
 class BroadcastMembershipCheck:
@@ -388,78 +323,68 @@ def summarize_verdicts(ds):
     return tot
 
 
+def clip_verdicts(path, spec):
+    """Verdict rows (every clips column but `bytes`, plus valid/violations)
+    for the clips table at `path` (a directory, a file or a file list).
+
+    A verdict-only pass should not scan the audio payload just to assert
+    presence: when parquet row-group stats prove `bytes` is never null
+    (and its only checks are presence + binary type), those checks are
+    discharged from metadata and the column is pruned AT THE READ — at
+    100 TB that is the difference between scanning ~1% of the table and
+    all of it. Otherwise `bytes` is read and dropped inside the fused
+    read->validate task (it never enters the object store)."""
+    import pyarrow.parquet as pq
+
+    files = table_files(path)
+    spec, pruned = discharge_payload_checks(spec, files, "bytes")
+    keep = [c for c in pq.read_schema(files[0]).names if c != "bytes"]
+    ds = read_table(path, columns=keep) if pruned else read_table(path)
+    return validate_dataset(ds, spec, keep_columns=keep)
+
+
+def clip_dataset_checks(source):
+    """The two dataset-scale checks over clips rows at `source` (a clips
+    table, or verdict files — neither check needs `bytes`): duplicate
+    clip_ids and codecs missing from `codecs_dim_table()`. Each reads only
+    its own columns, pruned at the parquet reader.
+
+    Returns (dupes, referential) as lazy Datasets."""
+    from ..sources.clips import codecs_dim_table
+
+    dupes = uniqueness_violations(read_table(source, columns=["clip_id"]))
+    refv = referential_violations(
+        read_table(source, columns=["clip_id", "codec"]), "codec",
+        codecs_dim_table()["codec"].to_pylist())
+    return dupes, refv
+
+
 def clip_validation_pipeline(clips_path, *, spec=None, decode=False,
-                             out_dir=None, batch_size=4096,
-                             concurrency=None):
-    """End-to-end flagship over a clips table (path or Dataset).
+                             out_dir=None):
+    """End-to-end flagship over the clips table at `clips_path`.
 
     Returns dict of lazy Datasets: verdicts, violations, dupes, referential
-    — plus writes partitioned parquet when out_dir is given.
+    — plus writes partitioned parquet when out_dir is given. With
+    `decode`, the payload is read and decoded in the validate task, and
+    verdict rows carry the decoder's columns instead of `bytes`.
     """
-    from ..sources.clips import codecs_dim_table
-    from ..sources.io import read_table, write_table
-
-    is_path = isinstance(clips_path, str)
     spec = spec or CLIP_SPEC
-
     if decode:
-        ds = read_table(clips_path) if is_path else clips_path
-        checked = validate_dataset(ds, spec, batch_size=batch_size,
-                                   concurrency=concurrency)
         from ..stages.decode import ClipDecoder
         from ..stages.taskpool import stage_fn
 
         # task pool, not actors: ClipDecoder's only state is tol_ms, and
         # the task form lets Ray fuse it with the read->validate stage so
         # payload bytes never take an object-store hop (taskpool.py)
-        checked = checked.map_batches(
-            stage_fn(ClipDecoder), batch_format="pyarrow",
-            batch_size=1024)
-        verdicts = checked
+        verdicts = validate_dataset(read_table(clips_path), spec) \
+            .map_batches(stage_fn(ClipDecoder), batch_format="pyarrow",
+                         batch_size=1024)
     else:
-        # verdict-only runs should not scan the audio payload just to
-        # assert presence: when parquet row-group stats prove `bytes` is
-        # never null (and its only checks are presence + binary type), the
-        # checks are discharged from metadata and the column is pruned AT
-        # THE READ — at 100 TB that is the difference between scanning ~1%
-        # of the table and all of it. Otherwise `bytes` is read and dropped
-        # inside the fused read->validate task (never enters the object
-        # store).
-        pruned = False
-        if is_path:
-            import pyarrow.parquet as pq
-
-            from ..sources.io import table_files
-            files = table_files(clips_path)
-            spec, pruned = discharge_payload_checks(spec, files, "bytes")
-            names = pq.read_schema(files[0]).names
-            keep = [c for c in names if c != "bytes"]
-            ds = read_table(clips_path, columns=keep) if pruned \
-                else read_table(clips_path)
-        else:
-            ds = clips_path
-            keep = [c for c in ds.schema().names if c != "bytes"]
-        verdicts = validate_dataset(ds, spec, batch_size=batch_size,
-                                    concurrency=concurrency,
-                                    keep_columns=keep)
-
-    violations = explode_violations(verdicts, key_cols=("clip_id",))
-    # dupes/referential never need the (heavy) bytes column: re-read with
-    # column pruning at the parquet reader when we own the read
-    if is_path:
-        key_ds = read_table(clips_path, columns=["clip_id"])
-        ref_ds = read_table(clips_path, columns=["clip_id", "codec"])
-    else:
-        key_ds = ds.select_columns(["clip_id"])
-        ref_ds = ds.select_columns(["clip_id", "codec"])
-    dupes = uniqueness_violations(key_ds, key="clip_id")
-    dim = codecs_dim_table()
-    refv = referential_violations(ref_ds, "codec",
-                                  dim["codec"].to_pylist(),
-                                  key_cols=("clip_id",))
-    out = {"verdicts": verdicts, "violations": violations, "dupes": dupes,
-           "referential": refv}
+        verdicts = clip_verdicts(clips_path, spec)
+    dupes, refv = clip_dataset_checks(clips_path)
+    out = {"verdicts": verdicts, "violations": explode_violations(verdicts),
+           "dupes": dupes, "referential": refv}
     if out_dir:
-        for name in ("verdicts", "violations", "dupes", "referential"):
-            write_table(out[name], f"{out_dir}/{name}")
+        for name, ds in out.items():
+            write_table(ds, f"{out_dir}/{name}")
     return out

@@ -8,6 +8,7 @@ bench, scripts, examples, the test fixture) wrap their work in
 from __future__ import annotations
 
 import contextlib
+import logging
 import os
 
 
@@ -23,9 +24,11 @@ def session(num_cpus: int | None = None):
       and a worker set-up hook that tunes each worker's allocator
       (``state/allocator.py``) before its first task.
 
-    In every case progress bars are off, the known-harmless empty-bundle
-    schema warning is filtered (``state/raylog.py``) and ``jschon_ray``
-    modules pickle by value. Only a session started here is shut down.
+    In every case progress bars are off, Ray Data's per-execution INFO
+    lines are silenced (its warnings still show), the known-harmless
+    empty-bundle schema warning is filtered (``state/raylog.py``) and
+    ``jschon_ray`` modules pickle by value. Only a session started here is
+    shut down.
     """
     import ray
     import ray.data
@@ -49,6 +52,7 @@ def session(num_cpus: int | None = None):
                      runtime_env={
                          "worker_process_setup_hook": tune_worker_allocator})
     ray.data.DataContext.get_current().enable_progress_bars = False
+    logging.getLogger("ray.data").setLevel(logging.WARNING)
     try:
         yield
     finally:

@@ -1,15 +1,14 @@
-"""Validation stage: a stateful map_batches callable holding a compiled plan.
+"""Validation stage: a stateless map_batches function over a compiled plan.
 
-Actor-pool pattern (ray_guide): the declarative spec dict (cheap to pickle)
-ships to each actor; the actor compiles it ONCE against the first batch's
-schema (`__init__`/first-call, not per batch) — the Ray analogue of the
-reference compiling a JSONSchema once and evaluating many instances
+`validate_batch_fn` is a plain task function, so Ray fuses it with the
+upstream read (heavy payload columns never hop through the object store
+between read and validate). The declarative spec dict (cheap to pickle)
+ships with each task; each worker process compiles it ONCE per (spec,
+batch schema) and reuses the plan from `_PLAN_CACHE` — the Ray analogue of
+the reference compiling a JSONSchema once and evaluating many instances
 (/root/reference/jschon/jsonschema.py:27-125 vs :191-220).
 
-Use:
-    ds.map_batches(SpecValidator, fn_constructor_kwargs=dict(spec=SPEC),
-                   batch_format="pyarrow", batch_size=64_000,
-                   concurrency=N, num_cpus=1)
+Use via `pipelines/validate.py::validate_dataset`.
 """
 
 from __future__ import annotations
@@ -19,45 +18,19 @@ import pyarrow.compute as pc
 
 from ..state.allocator import tune_worker_allocator
 from ..vspec.catalog import SpecCatalog
-from ..vspec.evaluator import VIOLATIONS_TYPE, CompiledSpec, compile_spec
+from ..vspec.evaluator import compile_spec
 
 
-class SpecValidator:
-    """Appends `valid:bool` + `violations:list<struct>` to each batch."""
-
-    def __init__(self, spec, *, formats_factory=None, keep_columns=None,
-                 extra_specs=None):
-        tune_worker_allocator()  # actor-pool path: once per actor process
-        self.spec = spec
-        self.formats = formats_factory() if formats_factory else None
-        self.keep_columns = keep_columns
-        self._plan: CompiledSpec | None = None
-
-    def _plan_for(self, schema: pa.Schema) -> CompiledSpec:
-        if self._plan is None or not self._plan.table_schema.equals(schema):
-            self._plan = compile_spec(self.spec, schema,
-                                      catalog=SpecCatalog(),
-                                      formats=self.formats)
-        return self._plan
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = self._plan_for(batch.schema).check_batch(batch)
-        if self.keep_columns is not None:
-            out = out.select(list(self.keep_columns) + ["valid", "violations"])
-        return out
-
-
-# Per-worker-process compiled-plan cache for the STATELESS validator path.
-# A plain function fuses with the parquet read into one task (no object-store
-# hop for heavy payload columns between read and validate); the cache gives
-# the same compile-once-per-worker behaviour as the actor pool.
+# Per-worker-process compiled plans, keyed on the WHOLE spec (specs come
+# from outside the program; two that share a prefix are different plans)
+# and the batch schema.
 _PLAN_CACHE: dict = {}
 
 
 def validate_batch_fn(batch: pa.Table, *, spec, keep_columns=None) -> pa.Table:
     import json
 
-    key = (json.dumps(spec, sort_keys=True, default=str)[:512],
+    key = (json.dumps(spec, sort_keys=True, default=str),
            tuple(batch.schema.names),
            tuple(str(f.type) for f in batch.schema))
     plan = _PLAN_CACHE.get(key)
@@ -94,13 +67,3 @@ class ViolationExploder:
                   "absoluteKeywordLocation", "error"):
             cols[f] = pc.struct_field(flat, f)
         return pa.table(cols)
-
-
-def empty_violations_table(key_cols=("clip_id",),
-                           key_types=(pa.string(),)) -> pa.Table:
-    fields = [(k, t) for k, t in zip(key_cols, key_types)]
-    fields += [("instanceLocation", pa.string()),
-               ("keywordLocation", pa.string()),
-               ("absoluteKeywordLocation", pa.string()),
-               ("error", pa.string())]
-    return pa.table({n: pa.array([], t) for n, t in fields})

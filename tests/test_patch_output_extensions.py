@@ -2,6 +2,8 @@
 format registry."""
 
 import json
+import os
+import pathlib
 
 import pyarrow as pa
 import pytest
@@ -15,20 +17,45 @@ from jschon_ray.vspec.row_oracle import RowEvaluator
 
 # -- JSON Patch -------------------------------------------------------------
 
-def load_patch_corpus():
-    with open("/root/reference/tests/data/jsonpatch.json") as f:
+RFC6902_EXAMPLES = pathlib.Path(__file__).parent / "data" \
+    / "rfc6902_appendix_a.json"
+REFERENCE_CORPUS = "/root/reference/tests/data/jsonpatch.json"
+
+
+def load_patch_corpus(path):
+    with open(path) as f:
         return json.load(f)
 
 
-@pytest.mark.parametrize("case", load_patch_corpus(),
-                         ids=lambda c: c["description"])
-def test_patch_corpus(case):
+def reference_patch_cases():
+    """The reference checkout's corpus when it is present, else one
+    skipped placeholder (one reason, not one skip per case)."""
+    if os.path.exists(REFERENCE_CORPUS):
+        return load_patch_corpus(REFERENCE_CORPUS)
+    return [pytest.param(None, id="reference-corpus", marks=pytest.mark.skip(
+        reason=f"reference JSON Patch corpus not found at "
+               f"{REFERENCE_CORPUS}"))]
+
+
+def check_patch_case(case):
     # the corpus marks expected-failure cases with "result": null
     if case.get("result") is not None:
         assert apply_patch(case["document"], case["patch"]) == case["result"]
     else:
         with pytest.raises(PatchError):
             apply_patch(case["document"], case["patch"])
+
+
+@pytest.mark.parametrize("case", load_patch_corpus(RFC6902_EXAMPLES),
+                         ids=lambda c: c["description"])
+def test_patch_rfc6902_examples(case):
+    check_patch_case(case)
+
+
+@pytest.mark.parametrize("case", reference_patch_cases(),
+                         ids=lambda c: c["description"])
+def test_patch_corpus(case):
+    check_patch_case(case)
 
 
 def test_patch_batch_vectorized_column_ops():

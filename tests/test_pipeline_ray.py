@@ -88,19 +88,6 @@ def test_uniqueness_on_unique_keys(ray_session, tmp_path):
     assert (len(d) == 0) == (len(set(ids)) == len(ids))
 
 
-def test_uniqueness_plans_agree(ray_session):
-    """The opt-in two-phase hashed plan must return exactly the direct
-    exact-shuffle result (dupes injected by the dirty generator)."""
-    import ray.data as rd
-    t = generate_clips(3000, seed=11)
-    direct = uniqueness_violations(rd.from_arrow(t), hash_first=False) \
-        .to_pandas().sort_values("clip_id").reset_index(drop=True)
-    hashed = uniqueness_violations(rd.from_arrow(t), hash_first=True) \
-        .to_pandas().sort_values("clip_id").reset_index(drop=True)
-    assert len(direct) > 0
-    assert direct.equals(hashed)
-
-
 def test_referential_broadcast(ray_session):
     import ray.data as rd
     t = generate_clips(500, seed=42)
@@ -153,3 +140,74 @@ def test_dupes_and_referential_agree_across_block_counts(ray_session,
                          override_num_blocks=nb)
         r = referential_violations(ref, "codec", codecs).to_pandas()
         assert sorted(zip(r["clip_id"], r["codec"])) == want_ref, nb
+
+
+def test_flagship_and_resume_agree_with_a_null_payload(ray_session,
+                                                       tmp_path):
+    """One of four files has a null `bytes`, so the payload checks cannot
+    be discharged: the flagship takes the unpruned read for the whole
+    table, and the resumable loop for that one shard. Both pipelines give
+    the local compile's counts, and neither's verdict rows carry `bytes`."""
+    import collections
+    import glob
+
+    import pyarrow as pa
+
+    from jschon_ray.pipelines.resumable import run_resumable_validation
+    from jschon_ray.pipelines.validate import discharge_payload_checks
+
+    clips = str(tmp_path / "clips")
+    write_clips_dataset(clips, 800, seed=7, num_shards=4)
+    files = sorted(glob.glob(clips + "/*.parquet"))
+    assert len(files) == 4
+    t = pq.read_table(files[1])
+    payload = t["bytes"].to_pylist()
+    payload[3] = None
+    i = t.schema.get_field_index("bytes")
+    pq.write_table(t.set_column(i, t.schema.field(i),
+                                pa.array(payload, t.schema.field(i).type)),
+                   files[1])
+    assert not discharge_payload_checks(CLIP_SPEC, files)[1]
+    assert [discharge_payload_checks(CLIP_SPEC, [f])[1] for f in files] \
+        == [True, False, True, True]
+
+    whole, valid, viols = oracle_counts(clips)
+    ids = collections.Counter(whole["clip_id"].to_pylist())
+    want = {"n": whole.num_rows, "n_valid": int(valid.sum()),
+            "n_violations": sum(len(v) for v in viols),
+            "n_dupe_keys": sum(1 for c in ids.values() if c > 1),
+            "n_referential": whole["codec"].to_pylist().count("amr")}
+    assert want["n_valid"] < want["n"] and want["n_dupe_keys"]
+
+    out = clip_validation_pipeline(clips)
+    flagship = summarize_verdicts(out["verdicts"])
+    flagship["n_dupe_keys"] = out["dupes"].count()
+    flagship["n_referential"] = out["referential"].count()
+    assert flagship == want
+    assert "bytes" not in out["verdicts"].schema().names
+
+    run = str(tmp_path / "run")
+    resumed = run_resumable_validation(clips, run)
+    assert {k: resumed[k] for k in want} == want
+    written = glob.glob(run + "/verdicts/shard=*/*.parquet")
+    assert written
+    assert all("bytes" not in pq.read_schema(f).names for f in written)
+
+
+def test_plan_cache_keys_on_the_whole_spec():
+    """Two specs whose sorted JSON shares its first 512 characters are
+    still two plans in one worker process."""
+    import pyarrow as pa
+
+    from jschon_ray.stages.validate import validate_batch_fn
+
+    def spec(maximum):
+        return {"$id": "https://example.com/plan-cache",
+                "description": "d" * 600,
+                "properties": {"v": {"maximum": maximum}}}
+
+    batch = pa.table({"v": [10]})
+    assert validate_batch_fn(batch, spec=spec(5))["valid"].to_pylist() \
+        == [False]
+    assert validate_batch_fn(batch, spec=spec(50))["valid"].to_pylist() \
+        == [True]

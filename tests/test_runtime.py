@@ -110,3 +110,29 @@ def test_worker_hook_tunes_allocator_by_default(tmp_path):
     got = _run_pickled_hook(tmp_path)
     assert got == {"importable": False, "ret": True,
                    "calls": [[-4, 0], [-1, 1 << 30]]}
+
+
+def test_ray_data_info_silenced_warnings_kept(ray_session):
+    """Ray Data's per-execution INFO lines are dropped; its warnings still
+    reach the handlers."""
+    import logging
+
+    from jschon_ray.runtime import session
+
+    seen = []
+
+    class Keep(logging.Handler):
+        def emit(self, record):
+            seen.append(record.levelno)
+
+    parent = logging.getLogger("ray.data")
+    keep = Keep()
+    parent.addHandler(keep)
+    try:
+        with session():
+            log = logging.getLogger("ray.data.session_check")
+            log.info("execution plan")
+            log.warning("a real warning")
+    finally:
+        parent.removeHandler(keep)
+    assert seen == [logging.WARNING]
