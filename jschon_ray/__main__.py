@@ -58,9 +58,7 @@ def cmd_uniqueness(args) -> dict:
     dupes = uniqueness_violations(ds, args.key)
     if args.output:
         write_table(dupes, args.output)
-        from .sources.io import read_table as rt
-
-        dupes = rt(args.output)
+        dupes = read_table(args.output)
     df = dupes.to_pandas()
     return {"n_duplicate_keys": int(len(df)),
             "n_duplicate_rows": int(df["n_rows"].sum()) if len(df) else 0}

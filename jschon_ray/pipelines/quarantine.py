@@ -20,24 +20,23 @@ from __future__ import annotations
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from .validate import validate_dataset
 
 
-def quarantine_split(ds, spec, out_dir: str, *, keep_columns=None,
-                     drop_payload_in_quarantine=True,
-                     payload_cols=("bytes",)):
+def quarantine_split(ds, spec, out_dir: str):
     """Validate `ds` against `spec` and write clean/quarantine sinks.
 
     Returns {'n': total, 'n_clean': ..., 'n_quarantined': ...,
     'clean_dir': ..., 'quarantine_dir': ...}. The summary comes from two
     streaming counts — no row set is ever collected on the driver.
 
-    `drop_payload_in_quarantine`: violation rows are for humans and
-    re-ingest tooling; payload blobs usually should not be duplicated
-    into the quarantine sink (re-fetch by key instead).
+    Violation rows are for humans and re-ingest tooling, so the `bytes`
+    payload is not duplicated into the quarantine sink (re-fetch by key
+    instead).
     """
-    checked = validate_dataset(ds, spec, keep_columns=keep_columns)
+    checked = validate_dataset(ds, spec)
     clean_dir = os.path.join(out_dir, "clean")
     quar_dir = os.path.join(out_dir, "quarantine")
 
@@ -46,18 +45,11 @@ def quarantine_split(ds, spec, out_dir: str, *, keep_columns=None,
             col = t["valid"]
             if isinstance(col, pa.ChunkedArray):
                 col = col.combine_chunks()
-            import pyarrow.compute as pc
-
             mask = col if valid else pc.invert(col)
             part = t.filter(mask)
-            if valid:
-                return part.drop_columns(
-                    [c for c in ("valid", "violations")
-                     if c in part.column_names])
-            drop = [c for c in payload_cols
-                    if drop_payload_in_quarantine
-                    and c in part.column_names]
-            return part.drop_columns(drop) if drop else part
+            drop = ("valid", "violations") if valid else ("bytes",)
+            return part.drop_columns(
+                [c for c in drop if c in part.column_names])
         return fn
 
     # checked is consumed twice (two sinks + counts); materialize the

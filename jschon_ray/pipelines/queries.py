@@ -27,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.text import LANG_MARKERS
-from ..sources.io import read_table, table_path
+from ..sources.io import footer_plan, read_table, table_path
 
 
 def finalize(out: pd.DataFrame, schema: dict) -> pd.DataFrame:
@@ -114,16 +114,14 @@ _LINEITEM_VALID_SQL = """(
 def _valid_flag_query(sf_dir, table, spec, key_cols):
     """Prune at the read: only columns the spec (or keys) actually touch
     leave storage (SURVEY 'prune at the read')."""
-    import pyarrow.parquet as pq
-
     from ..vspec.evaluator import _columns_used
     from .validate import validate_dataset
 
-    path = table_path(sf_dir, table)
-    schema = pq.ParquetFile(path).schema_arrow
+    plan = footer_plan(table_path(sf_dir, table))
+    schema = plan.schema()
     cols = sorted(set(_columns_used(spec, schema)) | set(key_cols),
                   key=schema.names.index)
-    ds = read_table(path, columns=cols)
+    ds = read_table(plan, columns=cols)
     checked = validate_dataset(ds, spec)
     return checked.select_columns(list(key_cols) + ["valid"])
 

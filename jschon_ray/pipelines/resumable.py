@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import glob
 import os
+import shutil
 
-from ..sources.io import read_table, write_table
+from ..sources.io import footer_plan, read_table, write_table
 from ..state.manifest import Manifest, shard_id_for
 from ..state.profile import TableProfile
 from .specs import CLIP_SPEC
@@ -31,9 +32,12 @@ from .validate import (
 )
 
 
-def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
-                             profile_columns=("sr_hz", "dur_ms",
-                                              "transcript")) -> dict:
+#: columns whose mergeable sketches each shard writes
+PROFILE_COLUMNS = ["sr_hz", "dur_ms", "transcript"]
+
+
+def run_resumable_validation(clips_dir: str, out_dir: str, *,
+                             spec=None) -> dict:
     """Validate all shards under `clips_dir`, resuming from the manifest.
 
     Returns the merged summary:
@@ -49,8 +53,6 @@ def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
     pending = man.pending(shard_paths)
     skipped = len(shard_paths) - len(pending)
 
-    import shutil
-
     for sid, path in pending.items():
         # a pending shard may have partial outputs from a killed/corrupt
         # attempt — clear them so the redo is idempotent, not additive
@@ -58,18 +60,20 @@ def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
         xdir = os.path.join(out_dir, "violations", f"shard={sid}")
         for d in (vdir, xdir):
             shutil.rmtree(d, ignore_errors=True)
-        # per-shard stats discharge: shards whose metadata proves `bytes`
-        # non-null skip the payload scan entirely (per-file granularity —
-        # a dirty shard only costs itself)
-        write_table(clip_verdicts(path, spec), vdir)
+        # one footer plan per shard serves the stats discharge, the verdict
+        # read and the profile read; a shard whose stats prove `bytes`
+        # non-null skips the payload scan (per-file granularity — a dirty
+        # shard only costs itself)
+        plan = footer_plan(path)
+        write_table(clip_verdicts(plan, spec), vdir)
 
         # read back the (bytes-free) verdicts for the cheap derived outputs
         vds = read_table(vdir)
         write_table(explode_violations(vds), xdir)
         summary = summarize_verdicts(vds)
 
-        prof = profile_dataset(read_table(path, columns=list(profile_columns)),
-                               columns=list(profile_columns))
+        prof = profile_dataset(read_table(plan, columns=PROFILE_COLUMNS),
+                               columns=PROFILE_COLUMNS)
         blob_path = os.path.join(out_dir, "sketches", f"{sid}.bin")
         os.makedirs(os.path.dirname(blob_path), exist_ok=True)
         tmp = blob_path + ".tmp"
@@ -104,50 +108,3 @@ def run_resumable_validation(clips_dir: str, out_dir: str, *, spec=None,
     total["shards_skipped"] = skipped
     total["profile"] = profile
     return total
-
-
-def run_resumable_stage(input_dir: str, out_dir: str, stage_fn, *,
-                        columns=None, pattern: str = "*.parquet") -> dict:
-    """Run ANY per-shard Dataset transform chain with manifest lineage —
-    the generic form of `run_resumable_validation` for non-validation
-    pipelines (featurization, augmentation, decode): each input shard
-    runs `stage_fn(ds) -> Dataset` as one fully-parallel Ray Data job,
-    its output lands in `out/data/shard=<id>/`, and one atomic manifest
-    row records completion. A killed run redoes only pending shards;
-    redo clears the shard's partial outputs first, so it is idempotent,
-    never additive.
-
-    Scale posture matches the flagship loop: the shard loop is the
-    CHECKPOINT boundary, not the parallelism boundary — each iteration
-    saturates the cluster, and at 100 TB shards are fragment groups
-    dispatched a few at a time.
-
-    Returns {n_rows, shards_processed, shards_skipped, out_dir}.
-    """
-    import shutil
-
-    import pyarrow.parquet as pq
-
-    man = Manifest(out_dir)
-    shard_paths = {shard_id_for(p): p for p in
-                   sorted(glob.glob(os.path.join(input_dir, pattern)))}
-    pending = man.pending(shard_paths)
-    skipped = len(shard_paths) - len(pending)
-
-    for sid, path in pending.items():
-        odir = os.path.join(out_dir, "data", f"shard={sid}")
-        shutil.rmtree(odir, ignore_errors=True)
-        ds = read_table(path, columns=columns)
-        out = stage_fn(ds)
-        write_table(out, odir)
-        n = sum(pq.read_metadata(f).num_rows for f in
-                glob.glob(os.path.join(odir, "*.parquet")))
-        man.mark_complete(sid, input_path=path, n_rows=n, n_valid=n,
-                          n_violations=0,
-                          extra={"output_dir": odir})
-
-    done = man.complete_shards()
-    return {"n_rows": sum(r["n_rows"] for r in done.values()),
-            "shards_processed": len(pending),
-            "shards_skipped": skipped,
-            "out_dir": out_dir}

@@ -32,7 +32,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
-from ..sources.io import cluster_cpus, read_table, table_files, write_table
+from ..sources.io import cluster_cpus, footer_plan, read_table
 from ..stages.validate import ViolationExploder, validate_batch_fn
 from .specs import CLIP_SPEC
 
@@ -169,28 +169,13 @@ def discharge_payload_checks(spec, files, col: str = "bytes"):
 
     The 100 TB move: a verdict-only pass must not scan the audio payload
     just to assert `required` — null counts in file metadata prove it per
-    row group. Returns (possibly rewritten spec, prunable: bool); any file
-    with missing stats or a null vetoes (exactness over speed).
+    row group. `files` may be a ``FooterPlan``. Returns (possibly
+    rewritten spec, prunable: bool); any file with missing stats or a null
+    vetoes (exactness over speed).
     """
-    if not _stats_dischargeable(spec, col):
+    if not _stats_dischargeable(spec, col) or \
+            not footer_plan(files).non_null_binary(col):
         return spec, False
-    import pyarrow.parquet as pq
-    for f in files:
-        try:
-            md = pq.read_metadata(f)
-        except Exception:
-            return spec, False
-        sch = md.schema.to_arrow_schema()
-        idx = sch.get_field_index(col)
-        if idx < 0:
-            return spec, False
-        import pyarrow as _pa
-        if sch.field(idx).type not in (_pa.binary(), _pa.large_binary()):
-            return spec, False
-        for rg in range(md.num_row_groups):
-            st = md.row_group(rg).column(idx).statistics
-            if st is None or st.null_count is None or st.null_count > 0:
-                return spec, False
     return _discharge_col(spec, col), True
 
 
@@ -325,7 +310,8 @@ def summarize_verdicts(ds):
 
 def clip_verdicts(path, spec):
     """Verdict rows (every clips column but `bytes`, plus valid/violations)
-    for the clips table at `path` (a directory, a file or a file list).
+    for the clips table at `path` (a directory, a file, a file list or a
+    ``FooterPlan``).
 
     A verdict-only pass should not scan the audio payload just to assert
     presence: when parquet row-group stats prove `bytes` is never null
@@ -334,41 +320,41 @@ def clip_verdicts(path, spec):
     100 TB that is the difference between scanning ~1% of the table and
     all of it. Otherwise `bytes` is read and dropped inside the fused
     read->validate task (it never enters the object store)."""
-    import pyarrow.parquet as pq
-
-    files = table_files(path)
-    spec, pruned = discharge_payload_checks(spec, files, "bytes")
-    keep = [c for c in pq.read_schema(files[0]).names if c != "bytes"]
-    ds = read_table(path, columns=keep) if pruned else read_table(path)
+    plan = footer_plan(path)
+    spec, pruned = discharge_payload_checks(spec, plan, "bytes")
+    keep = [c for c in plan.column_names() if c != "bytes"]
+    ds = read_table(plan, columns=keep) if pruned else read_table(plan)
     return validate_dataset(ds, spec, keep_columns=keep)
 
 
 def clip_dataset_checks(source):
     """The two dataset-scale checks over clips rows at `source` (a clips
-    table, or verdict files — neither check needs `bytes`): duplicate
-    clip_ids and codecs missing from `codecs_dim_table()`. Each reads only
-    its own columns, pruned at the parquet reader.
+    table, verdict files or a ``FooterPlan`` of either — neither check
+    needs `bytes`): duplicate clip_ids and codecs missing from
+    `codecs_dim_table()`. Each reads only its own columns, pruned at the
+    parquet reader.
 
     Returns (dupes, referential) as lazy Datasets."""
     from ..sources.clips import codecs_dim_table
 
-    dupes = uniqueness_violations(read_table(source, columns=["clip_id"]))
+    plan = footer_plan(source)
+    dupes = uniqueness_violations(read_table(plan, columns=["clip_id"]))
     refv = referential_violations(
-        read_table(source, columns=["clip_id", "codec"]), "codec",
+        read_table(plan, columns=["clip_id", "codec"]), "codec",
         codecs_dim_table()["codec"].to_pylist())
     return dupes, refv
 
 
-def clip_validation_pipeline(clips_path, *, spec=None, decode=False,
-                             out_dir=None):
+def clip_validation_pipeline(clips_path, *, decode=False):
     """End-to-end flagship over the clips table at `clips_path`.
 
-    Returns dict of lazy Datasets: verdicts, violations, dupes, referential
-    — plus writes partitioned parquet when out_dir is given. With
-    `decode`, the payload is read and decoded in the validate task, and
-    verdict rows carry the decoder's columns instead of `bytes`.
+    Returns dict of lazy Datasets: verdicts, violations, dupes,
+    referential. The table's footers are read once, into one
+    ``FooterPlan`` that every read of the op takes. With `decode`, the
+    payload is read and decoded in the validate task, and verdict rows
+    carry the decoder's columns instead of `bytes`.
     """
-    spec = spec or CLIP_SPEC
+    plan = footer_plan(clips_path)
     if decode:
         from ..stages.decode import ClipDecoder
         from ..stages.taskpool import stage_fn
@@ -376,15 +362,11 @@ def clip_validation_pipeline(clips_path, *, spec=None, decode=False,
         # task pool, not actors: ClipDecoder's only state is tol_ms, and
         # the task form lets Ray fuse it with the read->validate stage so
         # payload bytes never take an object-store hop (taskpool.py)
-        verdicts = validate_dataset(read_table(clips_path), spec) \
+        verdicts = validate_dataset(read_table(plan), CLIP_SPEC) \
             .map_batches(stage_fn(ClipDecoder), batch_format="pyarrow",
                          batch_size=1024)
     else:
-        verdicts = clip_verdicts(clips_path, spec)
-    dupes, refv = clip_dataset_checks(clips_path)
-    out = {"verdicts": verdicts, "violations": explode_violations(verdicts),
-           "dupes": dupes, "referential": refv}
-    if out_dir:
-        for name, ds in out.items():
-            write_table(ds, f"{out_dir}/{name}")
-    return out
+        verdicts = clip_verdicts(plan, CLIP_SPEC)
+    dupes, refv = clip_dataset_checks(plan)
+    return {"verdicts": verdicts, "violations": explode_violations(verdicts),
+            "dupes": dupes, "referential": refv}

@@ -24,11 +24,11 @@ def session(num_cpus: int | None = None):
       and a worker set-up hook that tunes each worker's allocator
       (``state/allocator.py``) before its first task.
 
-    In every case progress bars are off, Ray Data's per-execution INFO
-    lines are silenced (its warnings still show), the known-harmless
-    empty-bundle schema warning is filtered (``state/raylog.py``) and
-    ``jschon_ray`` modules pickle by value. Only a session started here is
-    shut down.
+    In every case progress bars (and their name truncation) are off, Ray
+    Data's per-execution INFO lines are silenced (its warnings still
+    show), the known-harmless empty-bundle schema warning is filtered
+    (``state/raylog.py``) and ``jschon_ray`` modules pickle by value.
+    Only a session started here is shut down.
     """
     import ray
     import ray.data
@@ -51,7 +51,9 @@ def session(num_cpus: int | None = None):
                      include_dashboard=False, logging_level="ERROR",
                      runtime_env={
                          "worker_process_setup_hook": tune_worker_allocator})
-    ray.data.DataContext.get_current().enable_progress_bars = False
+    ctx = ray.data.DataContext.get_current()
+    ctx.enable_progress_bars = False
+    ctx.enable_progress_bar_name_truncation = False  # warns with bars off
     logging.getLogger("ray.data").setLevel(logging.WARNING)
     try:
         yield

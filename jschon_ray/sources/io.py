@@ -9,6 +9,9 @@ parquet path; pipeline code is format-agnostic through this seam.
 
 Scale notes: always pass ``columns=`` so only needed columns leave storage;
 readers return a streaming Dataset (never materialized here).
+
+``FooterPlan`` is the one parquet footer reader: built once per table per
+op, it serves every read and footer check of that op.
 """
 
 from __future__ import annotations
@@ -27,13 +30,6 @@ def table_path(sf_dir: str, name: str) -> str:
     return os.path.join(sf_dir, f"{name}.parquet")
 
 
-def table_files(path) -> list:
-    """Concrete parquet file paths behind a table path (file or dir)."""
-    if isinstance(path, str) and os.path.isdir(path):
-        return sorted(glob.glob(os.path.join(path, "*.parquet")))
-    return [path] if isinstance(path, str) else list(path)
-
-
 #: extension -> logical format (the reference's pluggable Source surface,
 #: /root/reference/jschon/catalog/__init__.py:26-67, recast as data-table
 #: format routing)
@@ -46,6 +42,8 @@ def _detect_format(path) -> str:
     """Logical format of a path/dir/list: by extension, parquet default.
     A directory NAMED `*.lance` is a Lance dataset root (fragments live
     inside it — never globbed as part files)."""
+    if isinstance(path, FooterPlan):
+        return "parquet"
     if isinstance(path, (list, tuple)):
         path = path[0] if path else ""
     if isinstance(path, str) and os.path.isdir(path):
@@ -82,96 +80,121 @@ def cluster_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _parquet_footers(path):
-    """Footers of the concrete parquet files behind `path` (a file or a
-    list of files), or None for a directory (hive / nested layout, left
-    to Ray's listing) or when any footer is unreadable."""
-    if isinstance(path, str) and os.path.isdir(path):
-        return None
-    files = table_files(path)
-    if not files:
-        return None
-    import pyarrow.parquet as pq
+class FooterPlan:
+    """A parquet table's footers, read once on the driver per op (never
+    cached: the resume loop rewrites verdict directories), and what every
+    read and check of that op derives from them. ``path`` is what
+    ``ray.data.read_parquet`` receives: the path as given, a directory's
+    part files, or a directory with none (hive / nested layout, left to
+    Ray's listing). An unreadable footer is kept as None; then no schema,
+    block count or non-null proof is derived."""
 
-    try:
-        return [pq.read_metadata(f) for f in files]
-    except Exception:
-        return None
+    def __init__(self, path):
+        import pyarrow.parquet as pq
 
+        if isinstance(path, str) and os.path.isdir(path):
+            self.files = sorted(glob.glob(os.path.join(path, "*.parquet")))
+            self.path = self.files or path
+        else:
+            self.files = [path] if isinstance(path, str) else list(path)
+            self.path = path
+        self._footers = []
+        for f in self.files:
+            try:
+                self._footers.append(pq.read_metadata(f))
+            except Exception:
+                self._footers.append(None)
+        self._readable = bool(self.files) and None not in self._footers
 
-def _projected_schema(footers, columns):
-    """Metadata-free schema of `columns` (every column when None) if all
-    footers agree on it, else None."""
-    import pyarrow as pa
+    def column_names(self) -> list:
+        """Column names of the first part file."""
+        if self._footers[0] is None:
+            raise OSError(f"unreadable parquet footer: {self.files[0]}")
+        return self._footers[0].schema.to_arrow_schema().names
 
-    out = None
-    for md in footers:
-        full = md.schema.to_arrow_schema()
-        try:
-            sch = pa.schema([full.field(n).remove_metadata()
-                             for n in (columns or full.names)])
-        except KeyError:
+    def schema(self, columns=None):
+        """Metadata-free schema of `columns` (every column when None) if
+        all footers are readable and agree on it, else None."""
+        import pyarrow as pa
+
+        if not self._readable:
             return None
-        if out is None:
-            out = sch
-        elif not sch.equals(out):
+        out = []
+        for md in self._footers:
+            full = md.schema.to_arrow_schema()
+            try:
+                out.append(pa.schema([full.field(n).remove_metadata()
+                                      for n in (columns or full.names)]))
+            except KeyError:
+                return None
+        return out[0] if all(s.equals(out[0]) for s in out) else None
+
+    def num_blocks(self, columns=None):
+        """Block count for a read of `columns` with no explicit
+        ``override_num_blocks`` (None without a readable footer set): one
+        block per cluster CPU, and more only when the projected
+        uncompressed bytes would overfill Ray's target block size. Ray's
+        own default (up to 200 blocks) sizes splits for the whole,
+        payload-bearing table, so a narrow projection arrived as hundreds
+        of tiny blocks, each paying per-task and per-shuffle-piece cost."""
+        import math
+
+        from ray.data import DataContext
+
+        if not self._readable:
             return None
-    return out
+        top = None if columns is None else set(columns)
+        total = sum(
+            c.total_uncompressed_size for md in self._footers
+            for g in map(md.row_group, range(md.num_row_groups))
+            for c in map(g.column, range(g.num_columns))
+            if top is None or c.path_in_schema.split(".")[0] in top)
+        n = cluster_cpus()
+        target = DataContext.get_current().target_max_block_size
+        return max(n, math.ceil(total / target)) if target else n
+
+    def non_null_binary(self, col: str) -> bool:
+        """True if `col` is binary in every part file and every row
+        group's statistics record zero nulls; no part file, a missing
+        column, an unreadable footer or missing stats answer False."""
+        import pyarrow as pa
+
+        if not self._readable:
+            return False
+        for md in self._footers:
+            sch = md.schema.to_arrow_schema()
+            idx = sch.get_field_index(col)
+            if idx < 0 or sch.field(idx).type not in (pa.binary(),
+                                                       pa.large_binary()):
+                return False
+            for rg in range(md.num_row_groups):
+                st = md.row_group(rg).column(idx).statistics
+                if st is None or st.null_count is None or st.null_count > 0:
+                    return False
+        return True
 
 
-def _projected_bytes(footers, columns) -> int:
-    """Uncompressed bytes of `columns` (every column when None) summed
-    over every row group of every footer."""
-    top = None if columns is None else set(columns)
-    total = 0
-    for md in footers:
-        for rg in range(md.num_row_groups):
-            g = md.row_group(rg)
-            for j in range(g.num_columns):
-                c = g.column(j)
-                if top is None or c.path_in_schema.split(".")[0] in top:
-                    total += c.total_uncompressed_size
-    return total
-
-
-def _default_num_blocks(footers, columns) -> int:
-    """Block count for a parquet read with no explicit
-    ``override_num_blocks``: one block per cluster CPU, and more only
-    when the projected bytes would overfill Ray's target block size.
-
-    Ray's own default (up to ``read_op_min_num_blocks`` = 200) sizes
-    splits for the whole, payload-bearing table; a narrow projection then
-    arrives as hundreds of tiny blocks and every downstream task and
-    every sort-shuffle piece (M blocks -> M x M) pays per-task overhead.
-    """
-    import math
-
-    from ray.data import DataContext
-
-    n = cluster_cpus()
-    target = DataContext.get_current().target_max_block_size
-    if target:
-        n = max(n, math.ceil(_projected_bytes(footers, columns) / target))
-    return n
+def footer_plan(path) -> FooterPlan:
+    """The footer plan of the parquet table at `path` (a file, a file list
+    or a directory of part files); an existing plan is returned as is."""
+    return path if isinstance(path, FooterPlan) else FooterPlan(path)
 
 
 def read_parquet_clean(path, **kwargs):
-    """``ray.data.read_parquet`` with schema metadata stripped from every
-    block (see ``_strip_block_meta``)."""
-    return _read_parquet(path, _parquet_footers(path), kwargs)
+    """``ray.data.read_parquet`` of a path or ``FooterPlan`` with schema
+    metadata stripped from every block (see ``_strip_block_meta``).
 
-
-def _read_parquet(path, footers, kwargs):
-    """Primary path: when every footer agrees on the projected schema,
-    pass it metadata-free as ``schema=`` — the datasource then emits
-    clean blocks directly, with no extra operator in the plan and no
-    metadata inside the read task (where a post-read strip stage cannot
-    reach the ``ReadParquet->SplitBlocks`` schema unification).
-    Fallback for shapes where the footers can't speak for the dataset
-    (hive partition dirs, unreadable or disagreeing files): a fused
-    zero-copy strip stage after the read."""
+    Primary path: when every footer agrees on the projected schema, pass
+    it metadata-free as ``schema=`` — the datasource then emits clean
+    blocks directly, with no extra operator in the plan and no metadata
+    inside the read task (where a post-read strip stage cannot reach the
+    ``ReadParquet->SplitBlocks`` schema unification). Fallback for shapes
+    where the footers can't speak for the dataset (hive partition dirs,
+    unreadable or disagreeing files): a fused zero-copy strip stage after
+    the read."""
     import ray.data as rd
 
+    plan = footer_plan(path)
     sch = None
     # ray's parquet datasource applies `schema` to the PROJECTED batch,
     # so the derived schema is pruned to `columns` — but a filter
@@ -179,19 +202,18 @@ def _read_parquet(path, footers, kwargs):
     # filters then projects), and pyarrow expressions don't expose their
     # field refs for a subset check. Take the strip-stage fallback for
     # that combination.
-    if footers and (kwargs.get("filter") is None
-                    or kwargs.get("columns") is None):
-        sch = _projected_schema(footers, kwargs.get("columns"))
+    if kwargs.get("filter") is None or kwargs.get("columns") is None:
+        sch = plan.schema(kwargs.get("columns"))
     if sch is not None:
-        return rd.read_parquet(path, schema=sch, **kwargs)
-    return rd.read_parquet(path, **kwargs).map_batches(
+        return rd.read_parquet(plan.path, schema=sch, **kwargs)
+    return rd.read_parquet(plan.path, **kwargs).map_batches(
         _strip_block_meta, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
                format=None):
-    """Read a table (file, directory of parts, or list of paths) as a
-    streaming ray.data.Dataset.
+    """Read a table (file, directory of parts, list of paths, or a parquet
+    ``FooterPlan``) as a streaming ray.data.Dataset.
 
     `format`: 'parquet' (default) | 'json' (newline-delimited) | 'csv',
     auto-detected from the extension when None. Column pruning + predicate
@@ -200,7 +222,7 @@ def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
     first exchange) and `filter` applies as a batch kernel.
 
     Parquet files (not hive directories) read without
-    `override_num_blocks` take ``_default_num_blocks``: one block per
+    `override_num_blocks` take ``FooterPlan.num_blocks``: one block per
     cluster CPU, more only when the projected bytes need them."""
     import ray.data as rd
 
@@ -226,28 +248,28 @@ def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
     if fmt in ("orc", "feather"):
         return _read_file_parallel(path, fmt, columns=columns,
                                    filter=filter)
-    if isinstance(path, str) and os.path.isdir(path):
-        ext = {"parquet": ".parquet", "json": ".jsonl", "csv": ".csv"}[fmt]
-        files = sorted(glob.glob(os.path.join(path, f"*{ext}")))
-        if fmt == "json" and not files:
-            files = sorted(glob.glob(os.path.join(path, "*.json")))
-        # no direct part files: hive-partitioned (col=value/ subdirs) or
-        # otherwise nested layout — hand the directory to ray, which
-        # lists recursively and parses partition columns
-        path = files or path
     kwargs = {}
     if override_num_blocks is not None:
         kwargs["override_num_blocks"] = override_num_blocks
     if fmt == "parquet":
+        plan = footer_plan(path)
         if columns is not None:
             kwargs["columns"] = list(columns)
         if filter is not None:
             kwargs["filter"] = filter
-        footers = _parquet_footers(path)
-        if footers and override_num_blocks is None:
-            kwargs["override_num_blocks"] = _default_num_blocks(
-                footers, kwargs.get("columns"))
-        return _read_parquet(path, footers, kwargs)
+        if override_num_blocks is None:
+            n = plan.num_blocks(kwargs.get("columns"))
+            if n is not None:
+                kwargs["override_num_blocks"] = n
+        return read_parquet_clean(plan, **kwargs)
+    if isinstance(path, str) and os.path.isdir(path):
+        ext = ".jsonl" if fmt == "json" else ".csv"
+        files = sorted(glob.glob(os.path.join(path, f"*{ext}")))
+        if fmt == "json" and not files:
+            files = sorted(glob.glob(os.path.join(path, "*.json")))
+        # no direct part files: nested layout — hand the directory to ray,
+        # which lists recursively
+        path = files or path
     if fmt == "json":
         ds = rd.read_json(path, **kwargs)
     elif fmt == "csv":
@@ -257,10 +279,7 @@ def read_table(path, *, columns=None, filter=None, override_num_blocks=None,
     if columns is not None:
         ds = ds.select_columns(list(columns))
     if filter is not None:
-        import pyarrow.dataset as pads
-
-        expr = filter if not isinstance(filter, pads.Expression) else filter
-        ds = ds.map_batches(lambda t, e=expr: t.filter(e),
+        ds = ds.map_batches(lambda t, e=filter: t.filter(e),
                             batch_format="pyarrow")
     return ds
 

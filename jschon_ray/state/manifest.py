@@ -52,8 +52,7 @@ class Manifest:
 
     def mark_complete(self, shard_id: str, *, input_path: str,
                       n_rows: int, n_valid: int, n_violations: int,
-                      sketch_blob_path: str | None = None,
-                      extra: dict | None = None) -> None:
+                      sketch_blob_path: str | None = None) -> None:
         row = {
             "shard_id": shard_id,
             "input_path": input_path,
@@ -64,8 +63,6 @@ class Manifest:
             "sketch_blob_path": sketch_blob_path,
             "finished_at_unix": time.time(),
         }
-        if extra:
-            row.update(extra)
         tmp = self._path(shard_id) + ".tmp"
         with open(tmp, "w") as f:
             json.dump(row, f)

@@ -142,6 +142,69 @@ def test_dupes_and_referential_agree_across_block_counts(ray_session,
         assert sorted(zip(r["clip_id"], r["codec"])) == want_ref, nb
 
 
+def _count_footer_reads(monkeypatch):
+    """Count driver-side parquet footer reads per file path."""
+    import collections
+    import os
+
+    counts = collections.Counter()
+    for name in ("read_metadata", "read_schema", "ParquetFile"):
+        def counted(where, *args, _orig=getattr(pq, name), **kwargs):
+            if isinstance(where, (str, os.PathLike)):
+                counts[os.path.realpath(where)] += 1
+            return _orig(where, *args, **kwargs)
+        monkeypatch.setattr(pq, name, counted)
+    return counts
+
+
+def test_each_op_reads_each_footer_once(clips_dir, ray_session, tmp_path,
+                                        monkeypatch):
+    """One flagship op (either mode) reads each clips footer once on the
+    driver; a fresh resume run reads each input footer once and each
+    verdict footer at most twice (its shard's read-back, the merge)."""
+    import glob
+    import os
+
+    from jschon_ray.pipelines.resumable import run_resumable_validation
+
+    files = sorted(os.path.realpath(f)
+                   for f in glob.glob(clips_dir + "/*.parquet"))
+    assert len(files) == 4
+    for decode in (False, True):
+        counts = _count_footer_reads(monkeypatch)
+        clip_validation_pipeline(clips_dir, decode=decode)
+        assert dict(counts) == {f: 1 for f in files}, decode
+        monkeypatch.undo()
+
+    counts = _count_footer_reads(monkeypatch)
+    run = str(tmp_path / "run")
+    summary = run_resumable_validation(clips_dir, run)
+    monkeypatch.undo()
+    assert summary["shards_processed"] == 4
+    verdicts = {os.path.realpath(f) for f in
+                glob.glob(run + "/verdicts/shard=*/*.parquet")}
+    assert verdicts
+    assert {f: counts[f] for f in files} == {f: 1 for f in files}
+    assert set(counts) <= set(files) | verdicts
+    assert max(counts[f] for f in verdicts) <= 2
+
+
+def test_no_part_file_vetoes_the_discharge(tmp_path):
+    """A hive-partitioned directory has no direct part file whose footer
+    could prove `bytes` non-null, and neither has an empty file list: the
+    payload checks stay."""
+    from jschon_ray.pipelines.validate import discharge_payload_checks
+    from jschon_ray.sources.io import footer_plan
+
+    hive = str(tmp_path / "hive")
+    pq.write_to_dataset(generate_clips(50, seed=1, dirty=False), hive,
+                        partition_cols=["sr_hz"])
+    plan = footer_plan(hive)
+    assert plan.files == [] and plan.path == hive
+    assert discharge_payload_checks(CLIP_SPEC, plan) == (CLIP_SPEC, False)
+    assert discharge_payload_checks(CLIP_SPEC, []) == (CLIP_SPEC, False)
+
+
 def test_flagship_and_resume_agree_with_a_null_payload(ray_session,
                                                        tmp_path):
     """One of four files has a null `bytes`, so the payload checks cannot

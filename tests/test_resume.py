@@ -40,8 +40,14 @@ def test_resume_skips_complete_and_matches(clips8, tmp_path, ray_session):
     done = sorted(man.complete_shards())
     for sid in done[3:]:
         os.remove(os.path.join(man.dir, f"{sid}.json"))
-        shutil.rmtree(os.path.join(out_part, "verdicts", f"shard={sid}"))
         shutil.rmtree(os.path.join(out_part, "violations", f"shard={sid}"))
+        if sid != done[3]:
+            shutil.rmtree(os.path.join(out_part, "verdicts", f"shard={sid}"))
+    # one pending shard keeps a stale, corrupt partial output: the redo
+    # must clear it, not append to it
+    with open(os.path.join(out_part, "verdicts", f"shard={done[3]}",
+                           "junk.parquet"), "w") as f:
+        f.write("not parquet")
 
     resumed = run_resumable_validation(clips8, out_part)
     assert resumed["shards_processed"] == 5
@@ -64,60 +70,3 @@ def test_rerun_everything_skipped(clips8, tmp_path, ray_session):
     again = run_resumable_validation(clips8, out)
     assert again["shards_processed"] == 0
     assert again["shards_skipped"] == 8
-
-
-# ---------------------------------------------------------------------------
-# generic per-shard stage runner (run_resumable_stage)
-
-
-def _mel_stage(ds):
-    # instances as stateless task fns (built once on the driver, shipped
-    # by value) — keeps the per-shard jobs light for the resume test;
-    # production chains use actor pools (q_audio_mel_clips)
-    from jschon_ray.stages.audio_ops import AudioResampler, MelSpectrogram
-
-    rs = AudioResampler(target_sr=16000)
-    mel = MelSpectrogram(sr=16000)
-    return ds.map_batches(lambda t: mel(rs(t)), batch_format="pyarrow",
-                          batch_size=256) \
-             .select_columns(["clip_id", "mel_ok", "mel_frames"])
-
-
-def test_stage_fresh_and_resume_idempotent(clips8, tmp_path, ray_session):
-    from jschon_ray.pipelines.resumable import run_resumable_stage
-
-    out_full = str(tmp_path / "feat_full")
-    full = run_resumable_stage(
-        clips8, out_full, _mel_stage,
-        columns=["clip_id", "bytes", "sr_hz", "codec"])
-    assert full["shards_processed"] == 8 and full["shards_skipped"] == 0
-    assert full["n_rows"] == 1600
-
-    # killed run: drop 2 manifest rows, leave a PARTIAL (corrupt) output
-    # dir for one of them — redo must clear it, not append
-    out_part = str(tmp_path / "feat_part")
-    run_resumable_stage(clips8, out_part, _mel_stage,
-                        columns=["clip_id", "bytes", "sr_hz", "codec"])
-    man = Manifest(out_part)
-    done = sorted(man.complete_shards())
-    for sid in done[:2]:
-        os.remove(os.path.join(man.dir, f"{sid}.json"))
-    stale = os.path.join(out_part, "data", f"shard={done[0]}")
-    with open(os.path.join(stale, "junk.parquet"), "w") as f:
-        f.write("not parquet")
-
-    resumed = run_resumable_stage(
-        clips8, out_part, _mel_stage,
-        columns=["clip_id", "bytes", "sr_hz", "codec"])
-    assert resumed["shards_processed"] == 2
-    assert resumed["shards_skipped"] == 6
-    assert resumed["n_rows"] == 1600
-
-    from jschon_ray.sources.io import read_table
-    a = read_table(os.path.join(out_full, "data")).to_pandas() \
-        .sort_values("clip_id").reset_index(drop=True)
-    b = read_table(os.path.join(out_part, "data")).to_pandas() \
-        .sort_values("clip_id").reset_index(drop=True)
-    assert len(a) == len(b) == 1600
-    assert (a["clip_id"] == b["clip_id"]).all()
-    assert (a["mel_ok"] == b["mel_ok"]).all()

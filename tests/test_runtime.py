@@ -136,3 +136,48 @@ def test_ray_data_info_silenced_warnings_kept(ray_session):
     finally:
         parent.removeHandler(keep)
     assert seen == [logging.WARNING]
+
+
+def test_long_operator_name_not_truncated(ray_session):
+    """Under session(), a fused operator name over Ray's 100-character
+    progress-bar limit logs no truncation warning (Ray builds the bar
+    name even with bars off)."""
+    import logging
+
+    import ray.data
+    from ray.util import debug
+
+    from jschon_ray.runtime import session
+
+    # closures, so workers unpickle them by value; each name is long
+    def validate_each_clip_row_in_full(t):
+        return t
+
+    def decode_each_clip_payload_in_full(t):
+        return t
+
+    def profile_each_clip_column_in_full(t):
+        return t
+
+    seen = []
+
+    class Keep(logging.Handler):
+        def emit(self, record):
+            seen.append(record.getMessage())
+
+    parent = logging.getLogger("ray.data")
+    keep = Keep()
+    parent.addHandler(keep)
+    # the warning is logged once per process; forget an earlier one
+    debug._logged.discard("ray_data_truncate_operator_name")
+    try:
+        with session():
+            ds = ray.data.range(8, override_num_blocks=1)
+            for fn in (validate_each_clip_row_in_full,
+                       decode_each_clip_payload_in_full,
+                       profile_each_clip_column_in_full):
+                ds = ds.map_batches(fn, batch_format="pyarrow")
+            assert ds.count() == 8
+    finally:
+        parent.removeHandler(keep)
+    assert not [m for m in seen if "Truncating long operator name" in m]
