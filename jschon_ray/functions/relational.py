@@ -9,8 +9,6 @@ by the OUTPUT size, not the input size.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -500,13 +498,12 @@ def grouped_spearman(ds, *, key: str, x_col: str, y_col: str,
     Integer-moment overflow bound: sum(rank2^2) <= n*(2n)^2 per group —
     int64-safe to ~1.5e6 rows per group; beyond that switch the moment
     dtype to float128/object (documented deviation)."""
-    from .windows import _key_bucket
+    from .windows import route_by_key
 
-    narrow = ds.select_columns([key, x_col, y_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key,
-                          num_buckets=num_buckets),
-        batch_format="pyarrow")
+    # null keys form no group and are dropped before routing: a null in
+    # an int key column would turn its bucket's key column float
+    keyed = route_by_key(ds, key_col=key, cols=[key, x_col, y_col],
+                         non_null=[key], num_buckets=num_buckets)
 
     def _rank2(v: np.ndarray) -> np.ndarray:
         # 2 * average rank (1-based), whole-number ints even with ties
@@ -841,15 +838,10 @@ def copurchase_pairs(ds, *, order_col: str, item_col: str,
     pair-keyed shuffle — the classic combiner: the exchange carries one
     row per (bucket, pair), not one per co-occurrence.
     """
-    import functools
+    from .windows import route_by_key
 
-    from .windows import _key_bucket
-
-    narrow = ds.select_columns([order_col, item_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=order_col,
-                          num_buckets=num_buckets),
-        batch_format="pyarrow")
+    keyed = route_by_key(ds, key_col=order_col, cols=[order_col, item_col],
+                         num_buckets=num_buckets)
 
     def pairs_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.drop_duplicates([order_col, item_col]) \

@@ -1,10 +1,11 @@
 """Event-time windows over stream-shaped tables (ray_guide pattern).
 
 Ray Data is a batch engine; windows are expressed as vectorized bucket
-columns (tumbling) or per-key sorted-group passes (session windows in
-``groupby(key).map_groups``). Ordering assumption: within one key's group,
-rows are sorted by (ts, tie_breaker) before windowing — deterministic for
-any input partitioning.
+columns (tumbling) or per-key sorted-group passes. Every per-key pass
+goes through one scan: `route_by_key` hash-routes rows on the key into a
+bounded number of buckets (keys never split), and `keyed_scan` hands
+each bucket to the operator stably sorted by (key, ordering columns)
+with a key-start mask — deterministic for any input partitioning.
 """
 
 from __future__ import annotations
@@ -16,6 +17,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 from ..state.sketches import hash_array
+
+# Per-row float outputs are rounded half away from zero to the digits the
+# SQL oracles round to: window deltas, medians and rolling stats to 4,
+# transition probabilities and the EWMA recursion to 6.
+_DECIMALS = 4
+_FINE_DECIMALS = 6
 
 
 def add_tumbling_window(batch: pa.Table, *, ts_col: str = "ts",
@@ -82,35 +89,17 @@ def session_counts(ds, *, key_col="user_id", ts_col="ts",
     """Sessions per key: a new session starts when the gap since the
     previous event (ordered by (ts, tie)) exceeds `gap_minutes`.
 
-    Bucketed segmented scan (same shape as `session_stats`): keys hash
-    into `num_buckets` groups, each group is one sorted vectorized pass
-    that emits final per-key rows — groups stay bounded at scale (vs
-    one pandas group per key) and no second shuffle is needed. Returns
-    (key, n_events, n_sessions).
+    One `keyed_scan` pass that emits final per-key rows — groups stay
+    bounded at scale (vs one pandas group per key) and no second shuffle
+    is needed. Returns (key, n_events, n_sessions).
     """
     gap_us = int(gap_minutes) * 60_000_000
 
-    narrow = ds.select_columns([key_col, ts_col, tie_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
+    def scan_bucket(g: pd.DataFrame, new_key: np.ndarray) -> pd.DataFrame:
         n = len(g)
         keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
-        new_key = np.empty(n, dtype=bool)
-        if n:
-            new_key[0] = True
-            new_key[1:] = keys[1:] != keys[:-1]
-        gap = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            gap[1:] = ts_us[1:] - ts_us[:-1]
-        new_sess = new_key | (gap > gap_us)
+        ts_us = _epoch_us(g[ts_col])
+        new_sess = new_key | (np.diff(ts_us, prepend=ts_us[:1]) > gap_us)
         key_starts = np.flatnonzero(new_key)
         n_events = np.diff(np.append(key_starts, n))
         # sessions per key = count of new_sess flags inside each segment
@@ -122,8 +111,10 @@ def session_counts(ds, *, key_col="user_id", ts_col="ts",
             "n_events": n_events.astype("int64"),
             "n_sessions": n_sessions.astype("int64")})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def session_stats(ds, *, key_col="user_id", ts_col="ts",
@@ -134,32 +125,15 @@ def session_stats(ds, *, key_col="user_id", ts_col="ts",
     `gap_minutes`; duration = last-minus-first event time inside the
     session (exact microseconds). Unlike `session_counts` (one row per
     key), this materializes the session table itself — the input to
-    engagement/duration analytics — while staying a bucketed segmented
-    scan: keys never split, one narrow shuffle, vectorized boundary
-    detection and reduceat inside the bucket."""
+    engagement/duration analytics — in one `keyed_scan` pass with
+    vectorized boundary detection."""
     gap_us = int(gap_minutes) * 60_000_000
 
-    narrow = ds.select_columns([key_col, ts_col, tie_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
+    def scan_bucket(g: pd.DataFrame, new_key: np.ndarray) -> pd.DataFrame:
         n = len(g)
         keys = g[key_col].to_numpy()
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
-        new_key = np.empty(n, dtype=bool)
-        if n:
-            new_key[0] = True
-            new_key[1:] = keys[1:] != keys[:-1]
-        gap = np.zeros(n, dtype=np.int64)
-        if n > 1:
-            gap[1:] = ts_us[1:] - ts_us[:-1]
-        new_sess = new_key | (gap > gap_us)
+        ts_us = _epoch_us(g[ts_col])
+        new_sess = new_key | (np.diff(ts_us, prepend=ts_us[:1]) > gap_us)
         starts = np.flatnonzero(new_sess)
         sizes = np.diff(np.append(starts, n))
         first = ts_us[starts]
@@ -176,8 +150,10 @@ def session_stats(ds, *, key_col="user_id", ts_col="ts",
             "n_events": sizes.astype("int64"),
             "dur_us": (last - first).astype("int64")})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def _round_half_away(a: np.ndarray, decimals: int) -> np.ndarray:
@@ -238,6 +214,14 @@ def _key_bucket(batch: pa.Table, *, key_col: str,
     return batch.append_column("_bucket", pa.array(b))
 
 
+def _valid(batch: pa.Table, cols) -> pa.ChunkedArray:
+    """Row mask: no null in any of `cols`."""
+    mask = None
+    for c in cols:
+        m = pc.is_valid(batch[c])
+        mask = m if mask is None else pc.and_(mask, m)
+    return mask
+
 
 def _non_null_rows(ds, cols):
     """Keyed-scan NULL convention (pinned by
@@ -250,13 +234,94 @@ def _non_null_rows(ds, cols):
     cols = list(cols)
 
     def drop(batch: pa.Table) -> pa.Table:
-        mask = None
-        for c in cols:
-            m = pc.is_valid(batch[c])
-            mask = m if mask is None else pc.and_(mask, m)
-        return batch.filter(mask)
+        return batch.filter(_valid(batch, cols))
 
     return ds.map_batches(drop, batch_format="pyarrow")
+
+
+def route_by_key(ds, *, key_col: str, cols=None, non_null=(), prep=None,
+                 num_buckets: int | None = None, row_bytes: int = 64):
+    """Tag every row of `ds` with the hash bucket (`_bucket`) of
+    `key_col`, ready for ``groupby("_bucket").map_groups``: keep `cols`
+    (every column when None), drop rows with a null in any `non_null`
+    column (`_non_null_rows`), apply the batch transform `prep` if
+    given, then route. The bucket count is `num_buckets`, or when None
+    is sized by `_resolve_buckets` on `ds` itself — the source lineage,
+    counted before any of these steps, never a filtered one."""
+    buckets = _resolve_buckets(ds, num_buckets, row_bytes=row_bytes)
+    if cols is not None:
+        ds = ds.select_columns(list(cols))
+    if non_null:
+        ds = _non_null_rows(ds, non_null)
+    if prep is not None:
+        ds = ds.map_batches(prep, batch_format="pyarrow")
+    return ds.map_batches(functools.partial(_key_bucket, key_col=key_col,
+                                            num_buckets=buckets),
+                          batch_format="pyarrow")
+
+
+def keyed_scan(ds, fn, *, key_col: str, order_cols=(), cols=None,
+               non_null=(), num_buckets: int | None = None,
+               row_bytes: int = 64):
+    """The per-key segmented scan: rows routed by `route_by_key`, one
+    pandas group per bucket, and each group handed to ``fn(g, first)``
+    with `g` stably sorted by (key_col, *order_cols) and ``first[i]``
+    True where row i starts a new key (`_key_last(first)` marks each
+    key's last row). Keys never split across buckets, so `fn` sees whole
+    keys and the result is exact for any bucket count: one shuffle of
+    the narrow columns, vectorized segment passes, no per-key Python
+    dispatch."""
+    by = [key_col, *order_cols]
+
+    @functools.wraps(fn)         # the Ray operator keeps the operator's name
+    def scan(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(by, kind="mergesort")
+        keys = g[key_col].to_numpy()
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        return fn(g, first)
+
+    return route_by_key(ds, key_col=key_col, cols=cols, non_null=non_null,
+                        num_buckets=num_buckets, row_bytes=row_bytes) \
+        .groupby("_bucket").map_groups(scan, batch_format="pandas")
+
+
+def _key_last(first: np.ndarray) -> np.ndarray:
+    """Last-row-of-key mask from a key-start mask."""
+    return np.append(first[1:], True)[:len(first)]
+
+
+def _key_start(first: np.ndarray) -> np.ndarray:
+    """Index of the first row of each row's key."""
+    idx = np.arange(len(first), dtype=np.int64)
+    return np.maximum.accumulate(np.where(first, idx, 0))
+
+
+def _key_sizes(first: np.ndarray) -> np.ndarray:
+    """Row count of each row's key."""
+    starts = np.flatnonzero(first)
+    sizes = np.diff(np.append(starts, len(first)))
+    return np.repeat(sizes, sizes)
+
+
+def _trailing_frame(v: np.ndarray, first: np.ndarray, k: int) -> np.ndarray:
+    """(k, n) matrix of each row's trailing k values (row j = lag j),
+    NaN before the key's first row — reduced column-wise by the rolling
+    operators; k is small and fixed."""
+    n = len(v)
+    idx = np.arange(n, dtype=np.int64)
+    seg = _key_start(first)
+    lag = np.full((k, n), np.nan)
+    for j in range(k):
+        src = idx - j
+        ok = src >= seg
+        lag[j, ok] = v[src[ok]]
+    return lag
+
+
+def _epoch_us(s: pd.Series) -> np.ndarray:
+    return s.to_numpy().astype("datetime64[us]").astype(np.int64)
+
 
 def keyed_window_scan(ds, *, key_col: str, ts_col: str, tie_col: str,
                       value_col: str, k: int = 5, num_buckets: int | None = None,
@@ -264,14 +329,8 @@ def keyed_window_scan(ds, *, key_col: str, ts_col: str, tie_col: str,
     """Per-key ordered window pass: running (cumulative) sum, rolling
     k-row sum and rolling count over rows ordered by (ts, tie) within
     each key — SQL `SUM(v) OVER (PARTITION BY key ORDER BY ts, tie
-    ROWS BETWEEN k-1 PRECEDING AND CURRENT ROW)` semantics.
-
-    Scale shape: keys are hash-bucketed into `num_buckets` groups (one
-    shuffle of the scan's narrow columns; group count is bounded and
-    balanced regardless of key cardinality or skew), then one sorted
-    segmented-numpy pass per bucket — no per-key Python dispatch, no
-    driver loop. Key groups never split across buckets, so the pass is
-    exact for any input partitioning.
+    ROWS BETWEEN k-1 PRECEDING AND CURRENT ROW)` semantics, as one
+    `keyed_scan` pass of segmented cumsums.
 
     `to_int`: optional batch fn mapping the float value column to exact
     int64 units (e.g. cents) so cumulative sums hash-match a SQL oracle
@@ -279,42 +338,30 @@ def keyed_window_scan(ds, *, key_col: str, ts_col: str, tie_col: str,
 
     Emits (key_col, tie_col, row_in_key, cum_value, roll_sum, roll_n).
     """
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         n = len(g)
         v = g[value_col].to_numpy()
         if to_int is not None:
             v = to_int(v)
-        keys = g[key_col].to_numpy()
         idx = np.arange(n, dtype=np.int64)
-        new_seg = np.empty(n, dtype=bool)
-        new_seg[0] = True
-        new_seg[1:] = keys[1:] != keys[:-1]
-        seg = np.maximum.accumulate(np.where(new_seg, idx, 0))
-        row_in_key = idx - seg
+        seg = _key_start(first)
         cs = np.cumsum(v)
         base = np.where(seg > 0, cs[np.maximum(seg - 1, 0)], 0)
-        cum = cs - base
         lo = np.maximum(idx - (k - 1), seg)
         prev = lo - 1
         roll = cs - np.where(prev >= 0, cs[np.maximum(prev, 0)], 0)
         return pd.DataFrame({
-            key_col: keys,
+            key_col: g[key_col].to_numpy(),
             tie_col: g[tie_col].to_numpy(),
-            "row_in_key": row_in_key,
-            "cum_value": cum,
+            "row_in_key": idx - seg,
+            "cum_value": cs - base,
             "roll_sum": roll,
             "roll_n": (idx - lo + 1).astype(np.int64)})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col, value_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def hopping_agg(ds, *, key_cols=("event_type",), ts_col="ts",
@@ -371,12 +418,11 @@ def funnel_conversion(ds, *, user_col: str, ts_col: str, type_col: str,
     primitive (click -> purchase conversion) as ONE bounded shuffle.
 
     Scale shape: rows are filtered to the two step types at the read
-    (column- and row-pruned), hash-bucketed by user (bounded, balanced
-    group count — the `keyed_window_scan` pattern), and each bucket runs
-    a segmented-numpy REVERSE scan: sort by (user, ts, a-before-b on
-    ties), walk backward carrying the index of the nearest upcoming
-    step_b within the user segment — no per-user Python dispatch. Rows
-    with null user/ts are dropped.
+    (column- and row-pruned), routed by user (`route_by_key`), and each
+    bucket runs a segmented-numpy REVERSE scan: sort by (user, ts,
+    a-before-b on ties), walk backward carrying the index of the
+    nearest upcoming step_b within the user segment — no per-user
+    Python dispatch. Rows with null user/ts are dropped.
 
     Emits one row per user with >= 1 step event:
     (user_col, n_a, n_b, converted, min_gap_us) where min_gap_us =
@@ -385,21 +431,15 @@ def funnel_conversion(ds, *, user_col: str, ts_col: str, type_col: str,
     """
 
     within_us = _to_us_windows(within)
-    narrow = ds.select_columns([user_col, ts_col, type_col])
 
     def prefilter(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+        return t.filter(pc.and_(
+            pc.is_in(t[type_col], value_set=pa.array([step_a, step_b])),
+            _valid(t, [user_col, ts_col])))
 
-        keep = pc.and_(
-            pc.is_in(t[type_col],
-                     value_set=pa.array([step_a, step_b])),
-            pc.and_(pc.is_valid(t[user_col]), pc.is_valid(t[ts_col])))
-        return t.filter(keep)
-
-    keyed = narrow.map_batches(prefilter, batch_format="pyarrow") \
-        .map_batches(functools.partial(_key_bucket, key_col=user_col,
-                                       num_buckets=_resolve_buckets(ds, num_buckets)),
-                     batch_format="pyarrow")
+    keyed = route_by_key(ds, key_col=user_col,
+                         cols=[user_col, ts_col, type_col], prep=prefilter,
+                         num_buckets=num_buckets)
 
     def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
         is_b = (g[type_col] == step_b).to_numpy()
@@ -466,8 +506,8 @@ def retention_cohorts(ds, *, user_col: str, ts_col: str,
     the standard growth-analytics rollup.
 
     Shape: per-block DISTINCT (user, bucket) pairs prune before the one
-    user-keyed shuffle (a user's full history co-locates via the hash
-    bucket); each group then derives (cohort = min bucket, offset =
+    user-keyed shuffle (`route_by_key`: a user's full history
+    co-locates); each group then derives (cohort = min bucket, offset =
     bucket - cohort) pairs vectorized and emits pre-aggregated counts,
     so the final exchange is cohort-matrix-sized. Null user/ts dropped.
 
@@ -477,7 +517,6 @@ def retention_cohorts(ds, *, user_col: str, ts_col: str,
     """
 
     freq = {"week": "W", "day": "D", "hour": "h"}[unit]
-    narrow = ds.select_columns([user_col, ts_col])
 
     def pairs(t: pa.Table) -> pa.Table:
         df = t.to_pandas().dropna(subset=[user_col, ts_col])
@@ -490,10 +529,8 @@ def retention_cohorts(ds, *, user_col: str, ts_col: str,
             .drop_duplicates()
         return pa.Table.from_pandas(out, preserve_index=False).replace_schema_metadata(None)
 
-    keyed = narrow.map_batches(pairs, batch_format="pyarrow") \
-        .map_batches(functools.partial(_key_bucket, key_col=user_col,
-                                       num_buckets=_resolve_buckets(ds, num_buckets)),
-                     batch_format="pyarrow")
+    keyed = route_by_key(ds, key_col=user_col, cols=[user_col, ts_col],
+                         prep=pairs, num_buckets=num_buckets)
 
     step = {"W": 7 * 86400, "D": 86400, "h": 3600}[freq]
 
@@ -527,38 +564,24 @@ def event_bigrams(ds, *, user_col: str, ts_col: str, tie_col: str,
     (ts, tie)-ordered stream — SQL `lag() OVER (PARTITION BY user ORDER
     BY ts, tie)` + GROUP BY.
 
-    Shape: hash-bucketed keys (the `keyed_window_scan` pattern), one
-    sorted segmented pass per bucket (shift-compare, no per-user
-    dispatch), per-bucket (prev, next) partial counts -> one tiny
+    Shape: one `keyed_scan` pass (shift-compare, no per-user dispatch)
+    emitting per-bucket (prev, next) partial counts -> one tiny
     transition-matrix-sized groupby. Null user/ts rows are dropped.
     Emits (prev, next, n).
     """
 
-    narrow = ds.select_columns([user_col, ts_col, tie_col, type_col])
-
-    def prefilter(t: pa.Table) -> pa.Table:
-        keep = pc.and_(pc.is_valid(t[user_col]), pc.is_valid(t[ts_col]))
-        return t.filter(keep)
-
-    keyed = narrow.map_batches(prefilter, batch_format="pyarrow") \
-        .map_batches(functools.partial(_key_bucket, key_col=user_col,
-                                       num_buckets=_resolve_buckets(ds, num_buckets)),
-                     batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([user_col, ts_col, tie_col], kind="mergesort")
-        users = g[user_col].to_numpy()
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         types = g[type_col].to_numpy()
-        same = np.empty(len(g), dtype=bool)
-        same[0] = False
-        same[1:] = users[1:] == users[:-1]
+        same = ~first
         prev = np.roll(types, 1)
         df = pd.DataFrame({"prev": prev[same], "next": types[same]})
         return df.groupby(["prev", "next"], sort=False).size() \
             .reset_index(name="n")
 
-    parts = keyed.groupby("_bucket").map_groups(scan_bucket,
-                                                batch_format="pandas")
+    parts = keyed_scan(ds, scan_bucket, key_col=user_col,
+                       order_cols=[ts_col, tie_col],
+                       cols=[user_col, ts_col, tie_col, type_col],
+                       non_null=[user_col, ts_col], num_buckets=num_buckets)
     merged = parts.groupby(["prev", "next"]).sum("n")
 
     def finish(t: pa.Table) -> pa.Table:
@@ -569,108 +592,67 @@ def event_bigrams(ds, *, user_col: str, ts_col: str, tie_col: str,
 
 
 def keyed_moving_median(ds, *, key_col: str, ts_col: str, tie_col: str,
-                        value_col: str, k: int = 3, num_buckets: int | None = None,
-                        decimals: int = 4):
+                        value_col: str, k: int = 3,
+                        num_buckets: int | None = None):
     """Per-key trailing moving median (robust smoothing): SQL
     `median(v) OVER (PARTITION BY key ORDER BY ts, tie ROWS BETWEEN
     k-1 PRECEDING AND CURRENT ROW)` semantics, window truncated at the
     key's first row. Even windows interpolate (mean of the middle two),
     matching DuckDB's continuous median.
 
-    Same hash-bucketed shape as `keyed_window_scan` (one narrow shuffle,
-    bounded group count, keys never split). Inside a bucket the window
-    is materialized as a (k, n) lag matrix with NaN outside the frame
-    and reduced with ONE np.nanmedian — vectorized for the small fixed
-    k this op targets; a large-k variant would switch to a sliding
-    two-heap pass instead.
+    One `keyed_scan` pass: inside a bucket the window is materialized as
+    a (k, n) lag matrix with NaN outside the frame and reduced with ONE
+    np.nanmedian — vectorized for the small fixed k this op targets; a
+    large-k variant would switch to a sliding two-heap pass instead.
 
-    Emits (key_col, tie_col, med) with `med` rounded to `decimals` so
+    Emits (key_col, tie_col, med) with `med` rounded to 4 decimals so
     float interpolation hash-matches the oracle.
     """
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        v = g[value_col].to_numpy(np.float64)
-        keys = g[key_col].to_numpy()
-        idx = np.arange(n, dtype=np.int64)
-        new_seg = np.empty(n, dtype=bool)
-        if n:
-            new_seg[0] = True
-            new_seg[1:] = keys[1:] != keys[:-1]
-        seg = np.maximum.accumulate(np.where(new_seg, idx, 0))
-        lag = np.full((k, n), np.nan)
-        for j in range(k):                 # k is small and fixed
-            src = idx - j
-            ok = src >= seg
-            lag[j, ok] = v[src[ok]]
-        med = _round_half_away(np.nanmedian(lag, axis=0), decimals)
-        return pd.DataFrame({key_col: keys,
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        lag = _trailing_frame(g[value_col].to_numpy(np.float64), first, k)
+        med = _round_half_away(np.nanmedian(lag, axis=0), _DECIMALS)
+        return pd.DataFrame({key_col: g[key_col].to_numpy(),
                              tie_col: g[tie_col].to_numpy(),
                              "med": med})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col, value_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def keyed_lag(ds, *, key_col: str, ts_col: str, tie_col: str,
-              value_col: str, num_buckets: int | None = None, decimals: int = 4):
+              value_col: str, num_buckets: int | None = None):
     """Per-key LAG deltas: microsecond gap since the previous row and
     value change vs the previous row, ordered by (ts, tie) within each
     key — SQL `x - lag(x) OVER (PARTITION BY key ORDER BY ts, tie)`
     semantics with NULL on each key's first row.
 
-    Same hash-bucketed segmented-scan shape as `keyed_window_scan`: one
-    narrow shuffle into a bounded number of buckets (keys never split),
-    then a vectorized diff per bucket — no per-key dispatch, no driver
-    loop, and the wide columns never move.
+    One `keyed_scan` pass with a vectorized diff per bucket — no
+    per-key dispatch, no driver loop, and the wide columns never move.
 
     Emits (key_col, tie_col, gap_us:int64?, value_delta:double?); the
-    delta is rounded to `decimals` so it hash-matches a SQL oracle.
+    delta is rounded to 4 decimals so it hash-matches a SQL oracle.
     """
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
-        first = np.empty(n, dtype=bool)
-        if n:
-            first[0] = True
-            first[1:] = keys[1:] != keys[:-1]
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        ts_us = _epoch_us(g[ts_col])
         v = g[value_col].to_numpy(np.float64)
-        gap = np.zeros(n, dtype=np.int64)
-        dv = np.zeros(n, dtype=np.float64)
-        if n:
-            gap[1:] = ts_us[1:] - ts_us[:-1]
-            dv[1:] = v[1:] - v[:-1]
+        gap = np.diff(ts_us, prepend=ts_us[:1])
+        dv = np.diff(v, prepend=v[:1])
         return pd.DataFrame({
-            key_col: keys,
+            key_col: g[key_col].to_numpy(),
             tie_col: g[tie_col].to_numpy(),
-            "gap_us": pd.array(np.where(first, 0, gap), dtype="Int64")
-                      .copy() if n else pd.array([], dtype="Int64"),
-            "value_delta": _round_half_away(dv, decimals),
+            "gap_us": pd.array(np.where(first, 0, gap), dtype="Int64"),
+            "value_delta": _round_half_away(dv, _DECIMALS),
             "_first": first,
         })
 
-    out = keyed.groupby("_bucket").map_groups(scan_bucket,
-                                              batch_format="pandas")
+    out = keyed_scan(ds, scan_bucket, key_col=key_col,
+                     order_cols=[ts_col, tie_col],
+                     cols=[key_col, ts_col, tie_col, value_col],
+                     non_null=[key_col, ts_col], num_buckets=num_buckets)
 
     def null_first(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         keep = pc.invert(t["_first"])
         gap = pc.if_else(keep, t["gap_us"], pa.nulls(len(t), pa.int64()))
         dv = pc.if_else(keep, t["value_delta"],
@@ -682,48 +664,30 @@ def keyed_lag(ds, *, key_col: str, ts_col: str, tie_col: str,
 
 
 def keyed_lead(ds, *, key_col: str, ts_col: str, tie_col: str,
-               value_col: str, num_buckets: int | None = None,
-               decimals: int = 4):
+               value_col: str, num_buckets: int | None = None):
     """Per-key LEAD deltas: microsecond gap UNTIL the next row and value
     change vs the next row — SQL `lead(x) OVER (PARTITION BY key ORDER
     BY ts, tie) - x` with NULL on each key's last row (time-to-next-
     event / churn-gap inputs). Mirror image of `keyed_lag`: same
-    bucketed segmented scan, diff taken forward."""
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
-        last = np.empty(n, dtype=bool)
-        if n:
-            last[-1] = True
-            last[:-1] = keys[1:] != keys[:-1]
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
+    `keyed_scan` pass, diff taken forward."""
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        ts_us = _epoch_us(g[ts_col])
         v = g[value_col].to_numpy(np.float64)
-        gap = np.zeros(n, dtype=np.int64)
-        dv = np.zeros(n, dtype=np.float64)
-        if n:
-            gap[:-1] = ts_us[1:] - ts_us[:-1]
-            dv[:-1] = v[1:] - v[:-1]
+        gap = np.diff(ts_us, append=ts_us[-1:])
+        dv = np.diff(v, append=v[-1:])
         return pd.DataFrame({
-            key_col: keys,
+            key_col: g[key_col].to_numpy(),
             tie_col: g[tie_col].to_numpy(),
-            "gap_us": gap, "value_delta": _round_half_away(dv, decimals),
-            "_last": last,
+            "gap_us": gap, "value_delta": _round_half_away(dv, _DECIMALS),
+            "_last": _key_last(first),
         })
 
-    out = keyed.groupby("_bucket").map_groups(scan_bucket,
-                                              batch_format="pandas")
+    out = keyed_scan(ds, scan_bucket, key_col=key_col,
+                     order_cols=[ts_col, tie_col],
+                     cols=[key_col, ts_col, tie_col, value_col],
+                     non_null=[key_col, ts_col], num_buckets=num_buckets)
 
     def null_last(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         keep = pc.invert(t["_last"])
         gap = pc.if_else(keep, t["gap_us"], pa.nulls(len(t), pa.int64()))
         dv = pc.if_else(keep, t["value_delta"],
@@ -743,41 +707,24 @@ def keyed_throttle(ds, *, key_col: str, ts_col: str, tie_col: str,
     dependency and lose SQL parity).
 
     Emits the kept (key_col, tie_col, gap_us) rows; `gap_us` is NULL on
-    first-of-key rows. One narrow bucketed shuffle, vectorized diff.
+    first-of-key rows. One `keyed_scan` pass, vectorized diff.
     """
-    narrow = ds.select_columns([key_col, ts_col, tie_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
-        first = np.empty(n, dtype=bool)
-        if n:
-            first[0] = True
-            first[1:] = keys[1:] != keys[:-1]
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
-        gap = np.zeros(n, dtype=np.int64)
-        if n:
-            gap[1:] = ts_us[1:] - ts_us[:-1]
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        ts_us = _epoch_us(g[ts_col])
+        gap = np.diff(ts_us, prepend=ts_us[:1])
         keep = first | (gap >= min_gap_us)
-        out = pd.DataFrame({
-            key_col: keys[keep],
+        return pd.DataFrame({
+            key_col: g[key_col].to_numpy()[keep],
             tie_col: g[tie_col].to_numpy()[keep],
             "gap_us": pd.array(gap[keep], dtype="Int64"),
             "_first": first[keep]})
-        return out
 
-    out = keyed.groupby("_bucket").map_groups(scan_bucket,
-                                              batch_format="pandas")
+    out = keyed_scan(ds, scan_bucket, key_col=key_col,
+                     order_cols=[ts_col, tie_col],
+                     cols=[key_col, ts_col, tie_col],
+                     non_null=[key_col, ts_col], num_buckets=num_buckets)
 
     def null_first(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         gap = pc.if_else(pc.invert(t["_first"]), t["gap_us"],
                          pa.nulls(len(t), pa.int64()))
         return pa.table({key_col: t[key_col], tie_col: t[tie_col],
@@ -791,27 +738,21 @@ def keyed_latest(ds, *, key_cols: list, ts_col: str, tie_col: str,
     """Latest (or, with keep='first', earliest) row per composite key
     (the snapshot / type-2-SCD dedup: `row_number() OVER (PARTITION BY
     keys ORDER BY ts DESC, tie DESC) = 1`; keep='first' flips to ASC —
-    first-touch attribution). Rows hash-bucket on the FIRST key
-    (composite keys never split), then one sorted keep-last pass per
-    bucket — no per-key dispatch, duplicates collapse inside the
-    bucket so the output is bounded by the key-domain size.
+    first-touch attribution). Rows route on the FIRST key (composite
+    keys never split), then one sorted keep-last pass per bucket — no
+    per-key dispatch, duplicates collapse inside the bucket so the
+    output is bounded by the key-domain size.
 
     NULL convention: rows with a null key component or null timestamp
     are dropped up front — without this, NaT sorts LAST under pandas
     and a timestamp-less row silently wins the 'latest' slot."""
-    keyed = _non_null_rows(ds, list(key_cols) + [ts_col]).map_batches(
-        functools.partial(_key_bucket, key_col=key_cols[0],
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def last_per_key(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(list(key_cols) + [ts_col, tie_col],
-                          kind="mergesort")
+    def last_per_key(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         out = g.drop_duplicates(list(key_cols), keep=keep)
         return out.drop(columns=["_bucket"])
 
-    return keyed.groupby("_bucket").map_groups(last_per_key,
-                                               batch_format="pandas")
+    return keyed_scan(ds, last_per_key, key_col=key_cols[0],
+                      order_cols=[*key_cols[1:], ts_col, tie_col],
+                      non_null=[*key_cols, ts_col], num_buckets=num_buckets)
 
 
 def keyed_distinct_runs(ds, *, key_col: str, ts_col: str, tie_col: str,
@@ -820,28 +761,17 @@ def keyed_distinct_runs(ds, *, key_col: str, ts_col: str, tie_col: str,
     the key's first row or `run_col` differs from the PREVIOUS row's
     value (ordered by ts, tie) — `run_col != lag(run_col)` semantics,
     the dedup used to collapse repeated states/heartbeats into
-    transitions. Same bucketed segmented scan as `keyed_lag`."""
-    narrow = ds.select_columns([key_col, ts_col, tie_col, run_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
+    transitions. One `keyed_scan` pass, like `keyed_lag`."""
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         runs = g[run_col].to_numpy()
-        keep = np.empty(n, dtype=bool)
-        if n:
-            keep[0] = True
-            keep[1:] = (keys[1:] != keys[:-1]) | (runs[1:] != runs[:-1])
-        out = g.loc[keep, [key_col, ts_col, tie_col, run_col]]
-        return out
+        keep = first.copy()
+        keep[1:] |= runs[1:] != runs[:-1]
+        return g.loc[keep, [key_col, ts_col, tie_col, run_col]]
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col, run_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def keyed_percent_rank(ds, *, key_col: str, value_col: str, tie_col: str,
@@ -849,40 +779,23 @@ def keyed_percent_rank(ds, *, key_col: str, value_col: str, tie_col: str,
     """Per-key exact rank + percent_rank: `percent_rank() OVER
     (PARTITION BY key ORDER BY value, tie)` — (rank-1)/(n_key-1), 0.0
     for single-row keys, under a tie-broken total order (so ranks are
-    dense and reproducible). One bucketed shuffle of the three narrow
-    columns; keys never split, so per-key sizes are known inside the
-    bucket and the pct divides two exact integers."""
-    narrow = ds.select_columns([key_col, value_col, tie_col])
-    narrow = _non_null_rows(narrow, [key_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def rank_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, value_col, tie_col],
-                          kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
-        idx = np.arange(n, dtype=np.int64)
-        new_seg = np.empty(n, dtype=bool)
-        if n:
-            new_seg[0] = True
-            new_seg[1:] = keys[1:] != keys[:-1]
-        seg = np.maximum.accumulate(np.where(new_seg, idx, 0))
-        rank = idx - seg + 1
-        starts = np.flatnonzero(new_seg)
-        sizes = np.diff(np.append(starts, n))
-        n_key = np.repeat(sizes, sizes)
+    dense and reproducible). One `keyed_scan` pass over the three
+    narrow columns; keys never split, so per-key sizes are known inside
+    the bucket and the pct divides two exact integers."""
+    def rank_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        rank = np.arange(len(g), dtype=np.int64) - _key_start(first) + 1
+        n_key = _key_sizes(first)
         pct = np.where(n_key > 1, (rank - 1) / np.maximum(n_key - 1, 1),
                        0.0)
-        return pd.DataFrame({key_col: keys,
+        return pd.DataFrame({key_col: g[key_col].to_numpy(),
                              tie_col: g[tie_col].to_numpy(),
                              value_col: g[value_col].to_numpy(),
                              "rnk": rank, "pct": pct})
 
-    return keyed.groupby("_bucket").map_groups(rank_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, rank_bucket, key_col=key_col,
+                      order_cols=[value_col, tie_col],
+                      cols=[key_col, value_col, tie_col],
+                      non_null=[key_col], num_buckets=num_buckets)
 
 
 def keyed_cume_dist(ds, *, key_col: str, value_col: str, tie_col: str,
@@ -890,7 +803,7 @@ def keyed_cume_dist(ds, *, key_col: str, value_col: str, tie_col: str,
     """Per-key exact cumulative distribution: `cume_dist() OVER
     (PARTITION BY key ORDER BY value)` — (# rows with value <= current)
     / n_key, ties counted together (the SQL tie semantics, unlike
-    percent_rank's tie-broken order). One bucketed shuffle of three
+    percent_rank's tie-broken order). One `keyed_scan` pass over three
     narrow columns; each output value divides two exact integers so it
     hash-matches the oracle bit-for-bit.
 
@@ -901,47 +814,28 @@ def keyed_cume_dist(ds, *, key_col: str, value_col: str, tie_col: str,
     scale path is a value-histogram CDF instead (the
     grouped_percentile_cont_lowcard shape) — counts shuffle, rows
     don't."""
-    narrow = ds.select_columns([key_col, value_col, tie_col])
-    narrow = _non_null_rows(narrow, [key_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def cd_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, value_col, tie_col], kind="mergesort")
-        n = len(g)
-        keys = g[key_col].to_numpy()
+    def cd_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         vals = g[value_col].to_numpy()
-        idx = np.arange(n, dtype=np.int64)
-        new_seg = np.empty(n, dtype=bool)
-        new_val = np.empty(n, dtype=bool)
-        if n:
-            new_seg[0] = True
-            new_seg[1:] = keys[1:] != keys[:-1]
-            new_val[0] = True
-            new_val[1:] = new_seg[1:] | (vals[1:] != vals[:-1])
-        seg = np.maximum.accumulate(np.where(new_seg, idx, 0))
+        new_val = first.copy()
+        new_val[1:] |= vals[1:] != vals[:-1]
         # last index of each value-tie group, broadcast back to rows
         gid = np.cumsum(new_val) - 1
-        gsize = np.bincount(gid)
-        gend = np.cumsum(gsize) - 1          # last row index per group
-        k_le = gend[gid] - seg + 1           # rows with value <= current
-        starts = np.flatnonzero(new_seg)
-        sizes = np.diff(np.append(starts, n))
-        n_key = np.repeat(sizes, sizes)
-        return pd.DataFrame({key_col: keys,
+        gend = np.cumsum(np.bincount(gid)) - 1
+        k_le = gend[gid] - _key_start(first) + 1  # rows with value <= current
+        return pd.DataFrame({key_col: g[key_col].to_numpy(),
                              tie_col: g[tie_col].to_numpy(),
                              value_col: vals,
-                             "cd": k_le / n_key})
+                             "cd": k_le / _key_sizes(first)})
 
-    return keyed.groupby("_bucket").map_groups(cd_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, cd_bucket, key_col=key_col,
+                      order_cols=[value_col, tie_col],
+                      cols=[key_col, value_col, tie_col],
+                      non_null=[key_col], num_buckets=num_buckets)
 
 
 def keyed_rolling_stats(ds, *, key_col: str, ts_col: str, tie_col: str,
                         value_col: str, k: int = 5,
-                        num_buckets: int | None = None, decimals: int = 4):
+                        num_buckets: int | None = None):
     """Per-key trailing rolling mean + sample stddev (the anomaly-score
     inputs): `avg(v) OVER w` / `stddev_samp(v) OVER w` with w = ROWS
     BETWEEN k-1 PRECEDING AND CURRENT ROW, window truncated at the
@@ -950,45 +844,26 @@ def keyed_rolling_stats(ds, *, key_col: str, ts_col: str, tie_col: str,
 
     Same lag-matrix shape as `keyed_moving_median`: (k, n) with NaN
     outside the frame, reduced with one nanmean/nanstd pass. Rounded to
-    `decimals` so both stats hash-match a SQL oracle."""
+    4 decimals so both stats hash-match a SQL oracle."""
     import warnings
 
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        v = g[value_col].to_numpy(np.float64)
-        keys = g[key_col].to_numpy()
-        idx = np.arange(n, dtype=np.int64)
-        new_seg = np.empty(n, dtype=bool)
-        if n:
-            new_seg[0] = True
-            new_seg[1:] = keys[1:] != keys[:-1]
-        seg = np.maximum.accumulate(np.where(new_seg, idx, 0))
-        lag = np.full((k, n), np.nan)
-        for j in range(k):
-            src = idx - j
-            ok = src >= seg
-            lag[j, ok] = v[src[ok]]
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        lag = _trailing_frame(g[value_col].to_numpy(np.float64), first, k)
         cnt = np.sum(~np.isnan(lag), axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             mean = np.nanmean(lag, axis=0)
             std = np.nanstd(lag, axis=0, ddof=1)
         std = np.where(cnt > 1, std, np.nan)
-        return pd.DataFrame({key_col: keys,
+        return pd.DataFrame({key_col: g[key_col].to_numpy(),
                              tie_col: g[tie_col].to_numpy(),
-                             "roll_mean": _round_half_away(mean, decimals),
-                             "roll_std": _round_half_away(std, decimals)})
+                             "roll_mean": _round_half_away(mean, _DECIMALS),
+                             "roll_std": _round_half_away(std, _DECIMALS)})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col, value_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)
 
 
 def keyed_streaks(ds, *, key_col: str, ts_col: str,
@@ -997,26 +872,21 @@ def keyed_streaks(ds, *, key_col: str, ts_col: str,
     units (default: days) per key — SQL's `day - row_number()` island
     trick, run as one bucketed segmented-numpy pass.
 
-    Scale shape: one shuffle of (key, ts) into hash buckets; per bucket
-    the scan dedups (key, unit) pairs, sorts once, and derives island
-    boundaries from vectorized diffs (an island starts where the key
-    changes or the unit advances by more than 1). Output is one row per
-    key: max_streak, n_active_units, n_streaks.
+    Scale shape: one shuffle of (key, ts) into hash buckets
+    (`route_by_key`); per bucket the scan dedups (key, unit) pairs,
+    sorts once, and derives island boundaries from vectorized diffs (an
+    island starts where the key changes or the unit advances by more
+    than 1). Output is one row per key: max_streak, n_active_units,
+    n_streaks.
     """
-    narrow = ds.select_columns([key_col, ts_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(
-                              ds, num_buckets, row_bytes=16)),
-        batch_format="pyarrow")
+    keyed = route_by_key(ds, key_col=key_col, cols=[key_col, ts_col],
+                         non_null=[key_col, ts_col],
+                         num_buckets=num_buckets, row_bytes=16)
 
     unit_us = int(unit_s) * 1_000_000
 
     def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
-        day = ts_us // unit_us
+        day = _epoch_us(g[ts_col]) // unit_us
         d = pd.DataFrame({key_col: g[key_col].to_numpy(), "_u": day}) \
             .drop_duplicates().sort_values([key_col, "_u"],
                                            kind="mergesort")
@@ -1028,15 +898,11 @@ def keyed_streaks(ds, *, key_col: str, ts_col: str,
                                  "n_streaks": pd.Series([], dtype="int64")})
         keys = d[key_col].to_numpy()
         u = d["_u"].to_numpy()
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys[1:] != keys[:-1]
-        new_run = new_key.copy()
-        new_run[1:] |= (u[1:] - u[:-1]) != 1
+        new_run = np.ones(n, dtype=bool)
+        new_run[1:] = (keys[1:] != keys[:-1]) | ((u[1:] - u[:-1]) != 1)
         starts = np.flatnonzero(new_run)
         run_len = np.diff(np.append(starts, n))
-        run_key = keys[starts]
-        runs = pd.DataFrame({key_col: run_key, "_len": run_len})
+        runs = pd.DataFrame({key_col: keys[starts], "_len": run_len})
         out = runs.groupby(key_col, sort=False).agg(
             max_streak=("_len", "max"),
             n_active_units=("_len", "sum"),
@@ -1051,38 +917,27 @@ def keyed_streaks(ds, *, key_col: str, ts_col: str,
 
 def keyed_transition_counts(ds, *, key_col: str, ts_col: str,
                             tie_col: str, type_col: str,
-                            num_buckets: int | None = None,
-                            decimals: int = 6):
+                            num_buckets: int | None = None):
     """First-order Markov transition matrix over per-key ordered event
     types: counts and conditional probabilities of (type -> next type)
     — SQL `lead(type) OVER (PARTITION BY key ORDER BY ts, tie)` then a
     pair groupby.
 
-    Scale shape: the bucketed scan emits only (cur, next) PAIR COUNTS
-    per bucket (a partial aggregate — at most n_types^2 rows per
+    Scale shape: the `keyed_scan` pass emits only (cur, next) PAIR
+    COUNTS per bucket (a partial aggregate — at most n_types^2 rows per
     bucket), so the final shuffle moves a bounded matrix, not events.
-    P(next|cur) is derived from the global counts.
+    P(next|cur) is derived from the global counts, rounded to 6
+    decimals.
     """
-    narrow = ds.select_columns([key_col, ts_col, tie_col, type_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(
-                              ds, num_buckets, row_bytes=32)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
-        n = len(g)
-        if n < 2:
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
+        if len(g) < 2:
             # typed empty (string extension dtype, not object: size-0
             # object frames trip Ray's block size estimator)
             return pd.DataFrame({"cur_type": pd.Series([], dtype="string"),
                                  "next_type": pd.Series([], dtype="string"),
                                  "n": pd.Series([], dtype="int64")})
-        keys = g[key_col].to_numpy()
         typ = g[type_col].to_numpy()
-        same = keys[1:] == keys[:-1]
+        same = ~first[1:]
         pairs = pd.DataFrame({"cur_type": typ[:-1][same],
                               "next_type": typ[1:][same]})
         out = pairs.groupby(["cur_type", "next_type"], sort=False) \
@@ -1090,8 +945,11 @@ def keyed_transition_counts(ds, *, key_col: str, ts_col: str,
         out["n"] = out["n"].astype("int64")
         return out
 
-    partial = keyed.groupby("_bucket").map_groups(scan_bucket,
-                                                  batch_format="pandas")
+    partial = keyed_scan(ds, scan_bucket, key_col=key_col,
+                         order_cols=[ts_col, tie_col],
+                         cols=[key_col, ts_col, tie_col, type_col],
+                         non_null=[key_col, ts_col],
+                         num_buckets=num_buckets, row_bytes=32)
     from ray.data.aggregate import Sum
     total = partial.groupby(["cur_type", "next_type"]).aggregate(
         Sum("n", alias_name="n")).to_pandas()
@@ -1103,7 +961,7 @@ def keyed_transition_counts(ds, *, key_col: str, ts_col: str,
     total["n"] = total["n"].astype("int64")
     tot = total.groupby("cur_type")["n"].transform("sum")
     total["p"] = _round_half_away(
-        (total["n"] / tot).to_numpy(np.float64), decimals)
+        (total["n"] / tot).to_numpy(np.float64), _FINE_DECIMALS)
     return total
 
 
@@ -1114,19 +972,15 @@ def cohort_retention_matrix(ds, *, key_col: str, ts_col: str,
     unit (default: epoch week); cell (cohort, offset) counts the
     distinct keys of that cohort active `offset` units later.
 
-    Scale shape: one hash-bucket shuffle of (key, ts); per bucket the
-    scan reduces each key's events to its distinct (cohort, offset)
-    cells (a per-key partial — keys never split across buckets, so the
-    cohort/first-unit is exact); the final shuffle aggregates the
-    bounded (cohort x offset) matrix.
+    Scale shape: one hash-bucket shuffle of (key, ts) (`route_by_key`);
+    per bucket the scan reduces each key's events to its distinct
+    (cohort, offset) cells (a per-key partial — keys never split across
+    buckets, so the cohort/first-unit is exact); the final shuffle
+    aggregates the bounded (cohort x offset) matrix.
     """
-    narrow = ds.select_columns([key_col, ts_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(
-                              ds, num_buckets, row_bytes=16)),
-        batch_format="pyarrow")
+    keyed = route_by_key(ds, key_col=key_col, cols=[key_col, ts_col],
+                         non_null=[key_col, ts_col],
+                         num_buckets=num_buckets, row_bytes=16)
 
     unit_us = int(unit_s) * 1_000_000
 
@@ -1141,10 +995,9 @@ def cohort_retention_matrix(ds, *, key_col: str, ts_col: str,
             return pd.DataFrame({c: pd.Series([], dtype="int64")
                                  for c in ("cohort_unit", "unit_offset",
                                            "n_keys")})
-        ts_us = g[ts_col].to_numpy().astype("datetime64[us]") \
-                                    .astype(np.int64)
         d = pd.DataFrame({key_col: g[key_col].to_numpy(),
-                          "_u": ts_us // unit_us}).drop_duplicates()
+                          "_u": _epoch_us(g[ts_col]) // unit_us}) \
+            .drop_duplicates()
         first = d.groupby(key_col, sort=False)["_u"].transform("min")
         cells = pd.DataFrame({
             "cohort_unit": first.astype("int64"),
@@ -1174,24 +1027,15 @@ def keyed_interval_coverage(ds, *, key_col: str, lo_col: str,
     — SQL's running-max island trick (`lo > max(hi) OVER preceding`
     starts a new merged window).
 
-    Scale shape: one hash-bucket shuffle of (key, lo, hi); per bucket
-    the pass sorts once and finds window boundaries with a SEGMENTED
-    running max (pandas groupby(seg).cummax — one C-level pass, exact
-    for any int64 bound magnitudes; an offset-accumulate trick was
-    rejected because large epoch-microsecond bounds or millions of
-    keys per bucket overflow the offsets silently). Output: one row
-    per key with n_windows and covered units.
+    One `keyed_scan` pass ordered by (lo, hi) that finds window
+    boundaries with a SEGMENTED running max (pandas groupby(seg).cummax
+    — one C-level pass, exact for any int64 bound magnitudes; an
+    offset-accumulate trick was rejected because large
+    epoch-microsecond bounds or millions of keys per bucket overflow
+    the offsets silently). Output: one row per key with n_windows and
+    covered units.
     """
-    narrow = ds.select_columns([key_col, lo_col, hi_col])
-    narrow = _non_null_rows(narrow, [key_col, lo_col, hi_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(
-                              ds, num_buckets, row_bytes=24)),
-        batch_format="pyarrow")
-
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, lo_col, hi_col], kind="mergesort")
+    def scan_bucket(g: pd.DataFrame, new_key: np.ndarray) -> pd.DataFrame:
         n = len(g)
         if not n:
             return pd.DataFrame({key_col: g[key_col].iloc[:0],
@@ -1200,9 +1044,6 @@ def keyed_interval_coverage(ds, *, key_col: str, lo_col: str,
         keys = g[key_col].to_numpy()
         lo = g[lo_col].to_numpy(np.int64)
         hi = g[hi_col].to_numpy(np.int64)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys[1:] != keys[:-1]
         seg_id = np.cumsum(new_key) - 1
         # segmented running max of hi, exact for any int64 magnitudes
         run = pd.Series(hi).groupby(seg_id).cummax().to_numpy(np.int64)
@@ -1210,15 +1051,11 @@ def keyed_interval_coverage(ds, *, key_col: str, lo_col: str,
         prev_max[0] = np.iinfo(np.int64).min
         prev_max[1:] = run[:-1]
         new_win = new_key | (lo > prev_max)
-        win_id = np.cumsum(new_win) - 1
         # merged window bounds
         starts = np.flatnonzero(new_win)
-        win_lo = lo[starts]
         ends = np.append(starts[1:], n) - 1
-        win_hi = run[ends]
-        win_key = keys[starts]
-        w = pd.DataFrame({key_col: win_key,
-                          "_len": (win_hi - win_lo).astype("int64")})
+        w = pd.DataFrame({key_col: keys[starts],
+                          "_len": (run[ends] - lo[starts]).astype("int64")})
         out = w.groupby(key_col, sort=False).agg(
             n_windows=("_len", "size"),
             covered=("_len", "sum")).reset_index()
@@ -1226,14 +1063,16 @@ def keyed_interval_coverage(ds, *, key_col: str, lo_col: str,
         out["covered"] = out["covered"].astype("int64")
         return out
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[lo_col, hi_col],
+                      cols=[key_col, lo_col, hi_col],
+                      non_null=[key_col, lo_col, hi_col],
+                      num_buckets=num_buckets, row_bytes=24)
 
 
 def keyed_ewma(ds, *, key_col: str, ts_col: str, tie_col: str,
                value_col: str, alpha: float = 0.3,
-               num_buckets: int | None = None, decimals: int = 6,
-               chunk: int = 64):
+               num_buckets: int | None = None, chunk: int = 64):
     """Per-key exponentially weighted moving average (y_t = alpha*x_t +
     (1-alpha)*y_{t-1}, seeded y_0 = x_0) — the streaming-smoothing
     recursion, vectorized by BLOCKED exponential rescaling: inside each
@@ -1242,9 +1081,10 @@ def keyed_ewma(ds, *, key_col: str, ts_col: str, tie_col: str,
     alpha <= 0.9999), with one carry value per block. The Python loop
     is over blocks, not rows.
 
-    Emits (key, tie, ewma). Not SQL-expressible as a single window
-    (recursive), so registry entries using it are rows-only; parity is
-    pinned by a per-row numpy reference test.
+    Emits (key, tie, ewma), ewma rounded to 6 decimals. Not
+    SQL-expressible as a single window (recursive), so registry entries
+    using it are rows-only; parity is pinned by a per-row numpy
+    reference test.
     """
     a = float(alpha)
     if not (0.0 < a <= 0.9999):
@@ -1252,63 +1092,51 @@ def keyed_ewma(ds, *, key_col: str, ts_col: str, tie_col: str,
             f"keyed_ewma requires 0 < alpha <= 0.9999 (got {alpha!r}): "
             "the blocked rescaling uses (1-alpha)**(-i), which is "
             "undefined/overflowing outside that range")
-    narrow = ds.select_columns([key_col, ts_col, tie_col, value_col])
-    narrow = _non_null_rows(narrow, [key_col, ts_col])
-    keyed = narrow.map_batches(
-        functools.partial(_key_bucket, key_col=key_col,
-                          num_buckets=_resolve_buckets(ds, num_buckets)),
-        batch_format="pyarrow")
     r = 1.0 - a
 
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([key_col, ts_col, tie_col], kind="mergesort")
+    def scan_bucket(g: pd.DataFrame, new_key: np.ndarray) -> pd.DataFrame:
         n = len(g)
-        keys = g[key_col].to_numpy()
         x = g[value_col].to_numpy(np.float64)
         y = np.empty(n)
-        if n:
-            new_key = np.empty(n, dtype=bool)
-            new_key[0] = True
-            new_key[1:] = keys[1:] != keys[:-1]
-            seg_start_idx = np.flatnonzero(new_key)
-            # position within segment
-            pos = np.arange(n) - np.repeat(
-                seg_start_idx, np.diff(np.append(seg_start_idx, n)))
-            for s in range(0, n, chunk):
-                e = min(s + chunk, n)
-                p = pos[s:e]
-                first = p == 0
-                # within-block recursion with carry from y[s-1]
-                pb = np.arange(e - s)
-                w = r ** (-pb.astype(np.float64))
-                seed = np.where(first, x[s:e],
-                                a * x[s:e])
-                # reset cumsum at segment starts inside the block:
-                # cumulative sums computed per contiguous run via
-                # subtracting the running value at each reset point
-                cs = np.cumsum(seed * w)
-                resets = np.flatnonzero(first)
-                base = np.zeros(e - s)
-                if len(resets):
-                    rv = cs[resets] - seed[resets] * w[resets]
-                    base = np.repeat(
-                        rv, np.diff(np.append(resets, e - s)))
-                    if resets[0] != 0:
-                        head = np.zeros(resets[0])
-                        base = np.concatenate([head, base])
-                yb = (cs - base) * (r ** pb)
-                # carry the running value across the block boundary for
-                # rows whose segment started before this block
-                # (pos > local index <=> no reset since block start)
-                if s > 0:
-                    same_seg = pos[s:e] > pb
-                    yb = yb + np.where(same_seg,
-                                       y[s - 1] * (r ** (pb + 1)),
-                                       0.0)
-                y[s:e] = yb
-        return pd.DataFrame({key_col: keys,
+        # position within segment
+        pos = np.arange(n) - _key_start(new_key)
+        for s in range(0, n, chunk):
+            e = min(s + chunk, n)
+            p = pos[s:e]
+            first = p == 0
+            # within-block recursion with carry from y[s-1]
+            pb = np.arange(e - s)
+            w = r ** (-pb.astype(np.float64))
+            seed = np.where(first, x[s:e],
+                            a * x[s:e])
+            # reset cumsum at segment starts inside the block:
+            # cumulative sums computed per contiguous run via
+            # subtracting the running value at each reset point
+            cs = np.cumsum(seed * w)
+            resets = np.flatnonzero(first)
+            base = np.zeros(e - s)
+            if len(resets):
+                rv = cs[resets] - seed[resets] * w[resets]
+                base = np.repeat(
+                    rv, np.diff(np.append(resets, e - s)))
+                if resets[0] != 0:
+                    head = np.zeros(resets[0])
+                    base = np.concatenate([head, base])
+            yb = (cs - base) * (r ** pb)
+            # carry the running value across the block boundary for
+            # rows whose segment started before this block
+            # (pos > local index <=> no reset since block start)
+            if s > 0:
+                same_seg = pos[s:e] > pb
+                yb = yb + np.where(same_seg,
+                                   y[s - 1] * (r ** (pb + 1)),
+                                   0.0)
+            y[s:e] = yb
+        return pd.DataFrame({key_col: g[key_col].to_numpy(),
                              tie_col: g[tie_col].to_numpy(),
-                             "ewma": _round_half_away(y, decimals)})
+                             "ewma": _round_half_away(y, _FINE_DECIMALS)})
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col=key_col,
+                      order_cols=[ts_col, tie_col],
+                      cols=[key_col, ts_col, tie_col, value_col],
+                      non_null=[key_col, ts_col], num_buckets=num_buckets)

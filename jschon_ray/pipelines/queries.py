@@ -7626,25 +7626,17 @@ def q_customer_order_gap_median(sf_dir):
     LAG day-diff composed with an exact per-key median in one bucketed
     segmented scan — keys never split, so both the diff and the median
     finish inside the bucket without a second exchange."""
-    from ..functions.windows import _key_bucket
+    from ..functions.windows import keyed_scan
 
     ds = read_table(table_path(sf_dir, "orders"),
                     columns=["o_custkey", "o_orderdate", "o_orderkey"])
-    keyed = ds.map_batches(
-        functools.partial(_key_bucket, key_col="o_custkey", num_buckets=64),
-        batch_format="pyarrow")
 
-    def med_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["o_custkey", "o_orderdate", "o_orderkey"],
-                          kind="mergesort")
+    def med_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         days = g["o_orderdate"].to_numpy().astype("datetime64[D]") \
                                .astype(np.int64)
-        keys = g["o_custkey"].to_numpy()
         gap = np.diff(days, prepend=days[:1]).astype(np.float64)
-        same = np.zeros(len(g), dtype=bool)
-        if len(g):
-            same[1:] = keys[1:] == keys[:-1]
-        df = pd.DataFrame({"o_custkey": keys, "gap": gap})[same]
+        df = pd.DataFrame({"o_custkey": g["o_custkey"].to_numpy(),
+                           "gap": gap})[~first]
         if not len(df):
             return pd.DataFrame({
                 "o_custkey": pd.Series([], dtype="int64"),
@@ -7656,8 +7648,9 @@ def q_customer_order_gap_median(sf_dir):
         out["n_gaps"] = out["n_gaps"].astype("int64")
         return out
 
-    return keyed.groupby("_bucket").map_groups(med_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, med_bucket, key_col="o_custkey",
+                      order_cols=["o_orderdate", "o_orderkey"],
+                      num_buckets=64)
 
 
 _CUSTOMER_ORDER_GAP_SQL = """
@@ -8155,19 +8148,12 @@ def q_user_twap_value(sf_dir):
     values exact cents, so both integer sums — and therefore the final
     division — are engine-identical. One bucketed segmented scan (keys
     never split), per-key integer reduceat, no second exchange."""
-    from ..functions.windows import _key_bucket
+    from ..functions.windows import _key_last, keyed_scan
 
     ds = read_table(table_path(sf_dir, "events"),
                     columns=["user_id", "ts", "event_id", "value"])
-    keyed = ds.map_batches(
-        functools.partial(_key_bucket, key_col="user_id",
-                          num_buckets=64),
-        batch_format="pyarrow")
 
-    def scan_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
-        n = len(g)
+    def scan_bucket(g: pd.DataFrame, first: np.ndarray) -> pd.DataFrame:
         keys = g["user_id"].to_numpy()
         ts_ms = g["ts"].to_numpy().astype("datetime64[ms]") \
                        .astype(np.int64)
@@ -8175,15 +8161,8 @@ def q_user_twap_value(sf_dir):
         # banker's and would diverge on exact .5 cents)
         v = g["value"].to_numpy(np.float64) * 100.0
         cents = (np.sign(v) * np.floor(np.abs(v) + 0.5)).astype(np.int64)
-        last = np.empty(n, dtype=bool)
-        if n:
-            last[-1] = True
-            last[:-1] = keys[1:] != keys[:-1]
-        w = np.zeros(n, np.int64)
-        if n > 1:
-            w[:-1] = ts_ms[1:] - ts_ms[:-1]
-        w[last] = 0
-        seg = ~last
+        seg = ~_key_last(first)          # rows with a next row of the key
+        w = np.diff(ts_ms, append=ts_ms[-1:])
         df = pd.DataFrame({"user_id": keys[seg],
                            "num": cents[seg] * w[seg],
                            "den": w[seg]})
@@ -8195,8 +8174,8 @@ def q_user_twap_value(sf_dir):
         out["n_segments"] = out["n_segments"].astype("int64")
         return out[["user_id", "n_segments", "twap_cents"]]
 
-    return keyed.groupby("_bucket").map_groups(scan_bucket,
-                                               batch_format="pandas")
+    return keyed_scan(ds, scan_bucket, key_col="user_id",
+                      order_cols=["ts", "event_id"], num_buckets=64)
 
 
 _USER_TWAP_SQL = """
@@ -9692,42 +9671,23 @@ def q_events_session_paths(sf_dir):
     user-bucketed scan emits per-bucket PATH COUNT partials (bounded by
     n_types^3), so the final exchange is a tiny matrix; top-10 by
     (n DESC, path) on the driver."""
-    import functools
-
     from ray.data.aggregate import Sum
 
-    from ..functions.windows import _key_bucket, _resolve_buckets
+    from ..functions.windows import _epoch_us, _key_start, keyed_scan
 
     ds = read_table(table_path(sf_dir, "events"),
                     columns=["user_id", "ts", "event_id", "event_type"])
-    keyed = ds.map_batches(
-        functools.partial(_key_bucket, key_col="user_id",
-                          num_buckets=_resolve_buckets(ds, None,
-                                                       row_bytes=40)),
-        batch_format="pyarrow")
 
     GAP_US = 1800 * 1_000_000
 
-    def paths_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["user_id", "ts", "event_id"],
-                          kind="mergesort")
+    def paths_bucket(g: pd.DataFrame, new_key: np.ndarray) -> pd.DataFrame:
         n = len(g)
         if not n:
             return pd.DataFrame({"path": [], "n": []})
-        keys = g["user_id"].to_numpy()
-        ts_us = g["ts"].to_numpy().astype("datetime64[us]") \
-                                  .astype(np.int64)
-        new_key = np.empty(n, dtype=bool)
-        new_key[0] = True
-        new_key[1:] = keys[1:] != keys[:-1]
-        gap = np.zeros(n, np.int64)
-        gap[1:] = ts_us[1:] - ts_us[:-1]
-        new_sess = new_key | (gap > GAP_US)
+        ts_us = _epoch_us(g["ts"])
+        new_sess = new_key | (np.diff(ts_us, prepend=ts_us[:1]) > GAP_US)
         sess_id = np.cumsum(new_sess) - 1
-        starts = np.flatnonzero(new_sess)
-        pos = np.arange(n) - np.repeat(
-            starts, np.diff(np.append(starts, n)))
-        head = pos < 3
+        head = np.arange(n) - _key_start(new_sess) < 3
         df = pd.DataFrame({"sess": sess_id[head],
                            "t": g["event_type"].to_numpy()[head]})
         paths = df.groupby("sess", sort=False)["t"] \
@@ -9737,8 +9697,8 @@ def q_events_session_paths(sf_dir):
         out["n"] = out["n"].astype("int64")
         return out
 
-    partial = keyed.groupby("_bucket").map_groups(paths_bucket,
-                                                  batch_format="pandas")
+    partial = keyed_scan(ds, paths_bucket, key_col="user_id",
+                         order_cols=["ts", "event_id"], row_bytes=40)
     agg = partial.groupby("path").aggregate(
         Sum("n", alias_name="n")).to_pandas()
     agg = finalize(agg, {"path": None, "n": "int64"})

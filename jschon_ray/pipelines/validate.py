@@ -322,8 +322,15 @@ def clip_verdicts(path, spec):
     read->validate task (it never enters the object store)."""
     plan = footer_plan(path)
     spec, pruned = discharge_payload_checks(spec, plan, "bytes")
-    keep = [c for c in plan.column_names() if c != "bytes"]
-    ds = read_table(plan, columns=keep) if pruned else read_table(plan)
+    if pruned:
+        keep = [c for c in plan.column_names() if c != "bytes"]
+        ds = read_table(plan, columns=keep)
+    else:
+        ds = read_table(plan)
+        # no part file, no footer to list the columns (hive layout; the
+        # discharge is vetoed then): the read's own schema lists them
+        keep = [c for c in plan.column_names() or ds.schema().names
+                if c != "bytes"]
     return validate_dataset(ds, spec, keep_columns=keep)
 
 

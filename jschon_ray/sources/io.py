@@ -106,8 +106,12 @@ class FooterPlan:
                 self._footers.append(None)
         self._readable = bool(self.files) and None not in self._footers
 
-    def column_names(self) -> list:
-        """Column names of the first part file."""
+    def column_names(self) -> list | None:
+        """Column names of the first part file; None without one (a hive
+        or nested directory, whose columns only the read's own listing
+        knows)."""
+        if not self.files:
+            return None
         if self._footers[0] is None:
             raise OSError(f"unreadable parquet footer: {self.files[0]}")
         return self._footers[0].schema.to_arrow_schema().names

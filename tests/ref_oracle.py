@@ -15,6 +15,10 @@ import sys
 import types
 from urllib.parse import urljoin
 
+# The one skip reason of every test that needs the reference (its
+# evaluator, a catalog or its corpus) and finds none.
+REFERENCE_UNAVAILABLE = "reference jschon unavailable"
+
 _SCHEME_RE = re.compile(r"^([A-Za-z][A-Za-z0-9+.\-]*):")
 
 

@@ -17,7 +17,7 @@ from jschon_ray.vspec.evaluator import compile_spec, strip_absent
 from jschon_ray.vspec.output import create_output
 from jschon_ray.vspec.row_oracle import RowEvaluator, output_basic
 
-from ref_oracle import load_reference
+from ref_oracle import REFERENCE_UNAVAILABLE, load_reference
 
 META = "https://json-schema.org/draft/2020-12/schema"
 
@@ -58,7 +58,7 @@ ROOT5 = {
 def ref():
     h = load_reference()
     if h is None:
-        pytest.skip("reference evaluator unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
     return h
 
 

@@ -168,7 +168,7 @@ def test_keyed_ewma_matches_pandas_ewm():
     ds = ray.data.from_arrow(t).repartition(4)
     got = keyed_ewma(ds, key_col="k", ts_col="ts", tie_col="tie",
                      value_col="v", alpha=alpha, num_buckets=4,
-                     decimals=9, chunk=16) \
+                     chunk=16) \
         .to_pandas().sort_values("tie").reset_index(drop=True)
     df = t.to_pandas().sort_values(["k", "ts", "tie"])
     df["ref"] = df.groupby("k")["v"] \

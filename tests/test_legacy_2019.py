@@ -16,7 +16,7 @@ from jschon_ray.vspec.catalog import SpecCatalog
 from jschon_ray.vspec.evaluator import compile_spec, strip_absent
 from jschon_ray.vspec.row_oracle import RowEvaluator, output_basic
 
-from ref_oracle import load_reference
+from ref_oracle import REFERENCE_UNAVAILABLE, load_reference
 
 META19 = "https://json-schema.org/draft/2019-09/schema"
 T_LIST = pa.table({"xs": pa.array(
@@ -48,7 +48,7 @@ CASES = [
 def ref19():
     h = load_reference("2019-09")
     if h is None:
-        pytest.skip("2019-09 reference catalog unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
     return h
 
 

@@ -116,11 +116,11 @@ def test_next_reference_parity():
     """Golden parity with the reference's next catalog where loadable."""
     import sys
     sys.path.insert(0, "tests")
-    from ref_oracle import load_reference
+    from ref_oracle import REFERENCE_UNAVAILABLE, load_reference
 
     handle = load_reference("next")
     if handle is None:
-        pytest.skip("reference next catalog unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
     from ref_oracle import evaluate_with_reference
 
     ev = RowEvaluator(SpecCatalog())

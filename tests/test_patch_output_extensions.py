@@ -13,6 +13,7 @@ from jschon_ray.vspec.evaluator import compile_spec, strip_absent
 from jschon_ray.vspec.output import create_output
 from jschon_ray.vspec.patch import PatchError, apply_patch, patch_batch
 from jschon_ray.vspec.row_oracle import RowEvaluator
+from ref_oracle import REFERENCE_UNAVAILABLE, load_reference
 
 
 # -- JSON Patch -------------------------------------------------------------
@@ -33,8 +34,7 @@ def reference_patch_cases():
     if os.path.exists(REFERENCE_CORPUS):
         return load_patch_corpus(REFERENCE_CORPUS)
     return [pytest.param(None, id="reference-corpus", marks=pytest.mark.skip(
-        reason=f"reference JSON Patch corpus not found at "
-               f"{REFERENCE_CORPUS}"))]
+        reason=REFERENCE_UNAVAILABLE))]
 
 
 def check_patch_case(case):
@@ -83,10 +83,9 @@ def test_patch_batch_deep_rowwise():
 # -- output formatters vs reference ----------------------------------------
 
 def _ref():
-    from ref_oracle import load_reference
     h = load_reference()
     if h is None:
-        pytest.skip("reference unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
     return h
 
 

@@ -205,6 +205,21 @@ def test_no_part_file_vetoes_the_discharge(tmp_path):
     assert discharge_payload_checks(CLIP_SPEC, []) == (CLIP_SPEC, False)
 
 
+def test_verdicts_over_a_hive_partitioned_directory(ray_session, tmp_path):
+    """A hive-partitioned clips directory has no direct part file, so no
+    footer lists its columns: the verdict read's own schema does. One
+    verdict row per clip; the partition column is kept, `bytes` is not
+    (validity is not compared: the reader types `sr_hz` as a string)."""
+    from jschon_ray.pipelines.validate import clip_verdicts
+
+    hive = str(tmp_path / "hive")
+    clips = generate_clips(50, seed=1, dirty=False)
+    pq.write_to_dataset(clips, hive, partition_cols=["sr_hz"])
+    df = clip_verdicts(hive, CLIP_SPEC).to_pandas()
+    assert sorted(df["clip_id"]) == sorted(clips["clip_id"].to_pylist())
+    assert "sr_hz" in df.columns and "bytes" not in df.columns
+
+
 def test_flagship_and_resume_agree_with_a_null_payload(ray_session,
                                                        tmp_path):
     """One of four files has a null `bytes`, so the payload checks cannot

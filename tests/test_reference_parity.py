@@ -17,7 +17,8 @@ from jschon_ray.vspec.catalog import SpecCatalog
 from jschon_ray.vspec.evaluator import compile_spec, strip_absent
 from jschon_ray.vspec.row_oracle import RowEvaluator, output_basic
 
-from ref_oracle import evaluate_with_reference, load_reference
+from ref_oracle import (REFERENCE_UNAVAILABLE, evaluate_with_reference,
+                        load_reference)
 
 _ids = itertools.count()
 
@@ -203,7 +204,7 @@ def enc(v):
 def ref():
     h = load_reference()
     if h is None:
-        pytest.skip("reference evaluator unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
     return h
 
 

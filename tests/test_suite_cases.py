@@ -284,11 +284,12 @@ def test_reference_agrees_with_corpus():
     /root/reference via tests/ref_oracle) must agree with every corpus
     verdict.  Bulk-run (one pytest case) because the reference is the
     oracle here, not the system under test."""
-    from ref_oracle import evaluate_with_reference, load_reference
+    from ref_oracle import (REFERENCE_UNAVAILABLE, evaluate_with_reference,
+                            load_reference)
 
     handles = {v: load_reference(v) for v in ("2020-12", "2019-09", "next")}
     if any(h is None for h in handles.values()):
-        pytest.skip("reference evaluator unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
 
     checked = 0
     mismatches = []
@@ -450,12 +451,13 @@ def test_output_basic_byte_parity_with_reference():
     (error strings, keyword/instance/absolute locations, ordering) —
     the conformance-scale extension of tests/test_reference_parity.py's
     golden corpus."""
-    from ref_oracle import evaluate_with_reference, load_reference
+    from ref_oracle import (REFERENCE_UNAVAILABLE, evaluate_with_reference,
+                            load_reference)
     from jschon_ray.vspec.row_oracle import output_basic
 
     handles = {v: load_reference(v) for v in ("2020-12", "2019-09")}
     if any(h is None for h in handles.values()):
-        pytest.skip("reference evaluator unavailable")
+        pytest.skip(REFERENCE_UNAVAILABLE)
 
     n = match = skip = 0
     mismatches = []
