@@ -233,7 +233,7 @@ def run_benchmarks() -> dict:
     # per batch) -> coarse-bucket hash co-pairs -> offset-consistency
     # votes; both shuffles move only small integer rows
     timed("audio_fingerprint_dedup",
-          lambda: Q.q_audio_fingerprint_dedup_clips(SF_DIR).count())
+          lambda: Q.q_audio_fingerprint_dedup(SF_DIR).count())
 
     # 12. exact substring span dedup (bounded suffix-array form):
     # strided UTF-32 window hashes -> cross-doc distinct verdict ->

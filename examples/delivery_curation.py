@@ -85,7 +85,7 @@ def main():
             if k.startswith("n")}
 
     # 5. content-dedup the clean corpus (planted-dup chord clips here;
-    # for the tone corpus see q_audio_fingerprint_dedup_clips)
+    # for the tone corpus see q_audio_fingerprint_dedup)
     clips, truth = generate_fp_clips(300, seed=3)
     lm = ray.data.from_arrow(clips.select(["clip_id", "bytes", "codec"])) \
         .map_batches(stage_fn(AudioFingerprinter),

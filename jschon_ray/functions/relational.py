@@ -243,18 +243,18 @@ def _assert_keys_nonnull(t: pa.Table, keys, fn: str) -> None:
                 "drop or fill NULL keys before aggregating")
 
 
-def rollup_agg(ds, *, keys: list, value_col: str):
-    """`GROUP BY ROLLUP(keys...)`: subtotals at every key prefix plus the
-    grand total. ONE input-sized pass builds per-block partials for the
-    FINEST level only; one groupby shuffles those (bounded by the finest
-    group domain); every coarser level is re-aggregated from the finest
-    RESULT — output-bounded work, the input is never re-read or
-    re-shuffled per level. Returns a pandas DataFrame (keys..., n,
-    sum_value) with None in rolled-up key slots, finest-to-total order.
-    Key columns must be non-NULL (see `_assert_keys_nonnull`).
-    """
+def _grouping_sets(ds, *, keys: list, sets: list, value_col: str,
+                   fn: str):
+    """The one-pass shape shared by rollup/cube/grouping sets: per-block
+    partials at the FINEST level only, one groupby shuffle of those
+    (bounded by the finest group domain), then every requested set
+    re-aggregated from the finest RESULT — output-bounded work, the input
+    is never re-read or re-shuffled per level. Rolled-up key slots are
+    null in the key's dtype when it holds one (float NaN, datetime NaT),
+    else object None, so the output dtype never depends on how pandas
+    treats all-null columns in `pd.concat`."""
     def partial(t: pa.Table) -> pa.Table:
-        _assert_keys_nonnull(t, keys, "rollup_agg")
+        _assert_keys_nonnull(t, keys, fn)
         df = t.select(list(keys) + [value_col]).to_pandas()
         df["_v"] = df[value_col].astype(np.float64)
         agg = df.groupby(list(keys), sort=False, dropna=False) \
@@ -265,85 +265,8 @@ def rollup_agg(ds, *, keys: list, value_col: str):
         .groupby(list(keys)).sum(["n", "s"]).to_pandas()
     finest = finest.rename(columns={"sum(n)": "n", "sum(s)": "s"})
     finest["n"] = finest["n"].astype(np.int64)
-
-    levels = [finest]
-    for k in range(len(keys) - 1, -1, -1):
-        sub = keys[:k]
-        if sub:
-            lv = finest.groupby(sub, dropna=False, sort=False) \
-                .agg(n=("n", "sum"), s=("s", "sum")).reset_index()
-        else:
-            lv = pd.DataFrame({"n": [int(finest["n"].sum())],
-                               "s": [float(finest["s"].sum())]})
-        for miss in keys[k:]:
-            lv[miss] = None
-        levels.append(lv[list(keys) + ["n", "s"]])
-    out = pd.concat(levels, ignore_index=True)
-    return out.rename(columns={"s": f"sum_{value_col}"})
-
-
-def cube_agg(ds, *, keys: list, value_col: str):
-    """`GROUP BY CUBE(keys...)`: subtotals at EVERY key subset (2^k
-    grouping sets). Same one-pass shape as `rollup_agg`: per-block
-    partials at the finest level only, one bounded groupby shuffle,
-    then every coarser subset re-aggregated from the finest RESULT —
-    the input is read and shuffled exactly once regardless of k.
-    Returns pandas (keys..., n, sum_value) with None in the rolled-up
-    key slots. Key columns must be non-NULL (see
-    `_assert_keys_nonnull`)."""
-    import itertools
-
-    def partial(t: pa.Table) -> pa.Table:
-        _assert_keys_nonnull(t, keys, "cube_agg")
-        df = t.select(list(keys) + [value_col]).to_pandas()
-        df["_v"] = df[value_col].astype(np.float64)
-        agg = df.groupby(list(keys), sort=False, dropna=False) \
-            .agg(n=("_v", "size"), s=("_v", "sum")).reset_index()
-        return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-
-    finest = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(list(keys)).sum(["n", "s"]).to_pandas()
-    finest = finest.rename(columns={"sum(n)": "n", "sum(s)": "s"})
-    finest["n"] = finest["n"].astype(np.int64)
-
-    levels = [finest[list(keys) + ["n", "s"]]]
-    subsets = itertools.chain.from_iterable(
-        itertools.combinations(keys, r) for r in range(len(keys)))
-    for sub in subsets:
-        sub = list(sub)
-        if sub:
-            lv = finest.groupby(sub, dropna=False, sort=False) \
-                .agg(n=("n", "sum"), s=("s", "sum")).reset_index()
-        else:
-            lv = pd.DataFrame({"n": [int(finest["n"].sum())],
-                               "s": [float(finest["s"].sum())]})
-        for miss in keys:
-            if miss not in sub:
-                lv[miss] = None
-        levels.append(lv[list(keys) + ["n", "s"]])
-    out = pd.concat(levels, ignore_index=True)
-    return out.rename(columns={"s": f"sum_{value_col}"})
-
-
-def grouping_sets_agg(ds, *, keys: list, sets: list, value_col: str):
-    """`GROUP BY GROUPING SETS (...)`: arbitrary subset list, same
-    one-pass shape as rollup_agg/cube_agg — finest-level partials
-    shuffle once, every requested set re-aggregates from that result.
-    `sets` is a list of key subsets (tuples/lists, may be empty for the
-    grand total); each must be a subset of `keys`. Key columns must be
-    non-NULL (see `_assert_keys_nonnull`)."""
-    def partial(t: pa.Table) -> pa.Table:
-        _assert_keys_nonnull(t, keys, "grouping_sets_agg")
-        df = t.select(list(keys) + [value_col]).to_pandas()
-        df["_v"] = df[value_col].astype(np.float64)
-        agg = df.groupby(list(keys), sort=False, dropna=False) \
-            .agg(n=("_v", "size"), s=("_v", "sum")).reset_index()
-        return pa.Table.from_pandas(agg, preserve_index=False).replace_schema_metadata(None)
-
-    finest = ds.map_batches(partial, batch_format="pyarrow") \
-        .groupby(list(keys)).sum(["n", "s"]).to_pandas()
-    finest = finest.rename(columns={"sum(n)": "n", "sum(s)": "s"})
-    finest["n"] = finest["n"].astype(np.int64)
+    dtypes = {k: finest[k].dtype if finest[k].dtype.kind in "fmM"
+              else object for k in keys}
 
     levels = []
     for sub in sets:
@@ -359,12 +282,47 @@ def grouping_sets_agg(ds, *, keys: list, sets: list, value_col: str):
         else:
             lv = pd.DataFrame({"n": [int(finest["n"].sum())],
                                "s": [float(finest["s"].sum())]})
-        for miss in keys:
-            if miss not in sub:
-                lv[miss] = None
+        for k in keys:
+            lv[k] = lv[k].astype(dtypes[k]) if k in sub \
+                else pd.Series([None] * len(lv), lv.index, dtypes[k])
         levels.append(lv[list(keys) + ["n", "s"]])
     out = pd.concat(levels, ignore_index=True)
     return out.rename(columns={"s": f"sum_{value_col}"})
+
+
+def rollup_agg(ds, *, keys: list, value_col: str):
+    """`GROUP BY ROLLUP(keys...)`: subtotals at every key prefix plus the
+    grand total, in one pass (`_grouping_sets`). Returns a pandas
+    DataFrame (keys..., n, sum_value) with nulls in rolled-up key slots,
+    finest-to-total order. Key columns must be non-NULL (see
+    `_assert_keys_nonnull`).
+    """
+    sets = [keys[:k] for k in range(len(keys), -1, -1)]
+    return _grouping_sets(ds, keys=keys, sets=sets, value_col=value_col,
+                          fn="rollup_agg")
+
+
+def cube_agg(ds, *, keys: list, value_col: str):
+    """`GROUP BY CUBE(keys...)`: subtotals at EVERY key subset (2^k
+    grouping sets), in one pass (`_grouping_sets`) — the input is read
+    and shuffled exactly once regardless of k. Returns pandas (keys...,
+    n, sum_value) with nulls in the rolled-up key slots. Key columns
+    must be non-NULL (see `_assert_keys_nonnull`)."""
+    import itertools
+
+    sets = [keys, *itertools.chain.from_iterable(
+        itertools.combinations(keys, r) for r in range(len(keys)))]
+    return _grouping_sets(ds, keys=keys, sets=sets, value_col=value_col,
+                          fn="cube_agg")
+
+
+def grouping_sets_agg(ds, *, keys: list, sets: list, value_col: str):
+    """`GROUP BY GROUPING SETS (...)`: arbitrary subset list, in one pass
+    (`_grouping_sets`). `sets` is a list of key subsets (tuples/lists,
+    may be empty for the grand total); each must be a subset of `keys`.
+    Key columns must be non-NULL (see `_assert_keys_nonnull`)."""
+    return _grouping_sets(ds, keys=keys, sets=sets, value_col=value_col,
+                          fn="grouping_sets_agg")
 
 
 def grouped_trimmed_mean_lowcard(ds, *, key: str, value_col: str,

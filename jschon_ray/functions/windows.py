@@ -164,9 +164,9 @@ def _round_half_away(a: np.ndarray, decimals: int) -> np.ndarray:
     return np.sign(a) * np.floor(np.abs(a) * s + 0.5) / s
 
 
-def _resolve_buckets(ds, num_buckets, *, row_bytes: int = 64,
-                     target_bytes: int = 256 << 20, lo: int = 16,
-                     hi: int = 65536) -> int:
+def resolve_buckets(ds, num_buckets=None, *, row_bytes: int = 64,
+                    target_bytes: int = 256 << 20, lo: int = 16,
+                    hi: int = 65536) -> int:
     """Auto-size hash buckets when the caller passes None: one bucket's
     pandas frame should stay ~``target_bytes`` (default 256 MB), so group
     tasks are memory-bounded at any input size — 10M rows of a ~64-byte
@@ -179,8 +179,9 @@ def _resolve_buckets(ds, num_buckets, *, row_bytes: int = 64,
 
     CAVEAT: on a TRANSFORMED lineage (filter/map/join upstream),
     ``ds.count()`` executes the whole upstream pipeline once just for
-    the row count — pass an explicit ``num_buckets`` there instead of
-    None to avoid the double execution.
+    the row count. A caller that transforms its read before a keyed
+    operator sizes the buckets here from the source read and passes the
+    result as that operator's ``num_buckets``.
     """
     if num_buckets is not None:
         return num_buckets
@@ -246,9 +247,9 @@ def route_by_key(ds, *, key_col: str, cols=None, non_null=(), prep=None,
     (every column when None), drop rows with a null in any `non_null`
     column (`_non_null_rows`), apply the batch transform `prep` if
     given, then route. The bucket count is `num_buckets`, or when None
-    is sized by `_resolve_buckets` on `ds` itself — the source lineage,
+    is sized by `resolve_buckets` on `ds` itself — the source lineage,
     counted before any of these steps, never a filtered one."""
-    buckets = _resolve_buckets(ds, num_buckets, row_bytes=row_bytes)
+    buckets = resolve_buckets(ds, num_buckets, row_bytes=row_bytes)
     if cols is not None:
         ds = ds.select_columns(list(cols))
     if non_null:

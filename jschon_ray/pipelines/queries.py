@@ -5,8 +5,17 @@ entry over the driver testdata tables; SQL-expressible ones carry a DuckDB
 oracle with IDENTICAL column names and value semantics (the driver compares
 row counts, schemas, and order-insensitive value hashes at sf0.01).
 
-Non-SQL-expressible entries (sketches, LSH, drift, the clips flagship) are
-registered without an oracle -> the driver records a rows-only check.
+Declaring a query:
+  * a module-level ``def q_<name>(sf_dir)`` IS the registration:
+    ``build_queries()`` collects every such function under ``<name>``;
+  * its oracle is one statement placed after both the function and its
+    SQL, ``q_<name>.oracle = _<NAME>_SQL``. An oracle is either a string
+    or a callable of ``sf_dir`` (the clips family, whose SQL reads a
+    cache derived from the scale); ``build_oracles(sf_dir)`` resolves
+    both forms;
+  * a query with no ``.oracle`` is rows-only (sketches, LSH, the
+    non-SQL-expressible clip stages): the driver checks it runs and
+    returns rows.
 
 Determinism notes:
   * float aggregates whose summation order varies (sums/avgs) are rounded
@@ -20,6 +29,7 @@ Determinism notes:
 from __future__ import annotations
 
 import functools
+import inspect
 
 import numpy as np
 import pandas as pd
@@ -130,9 +140,17 @@ def q_validate_orders(sf_dir):
     return _valid_flag_query(sf_dir, "orders", ORDERS_SPEC, ["o_orderkey"])
 
 
+q_validate_orders.oracle = \
+    f"SELECT o_orderkey, {_ORDERS_VALID_SQL} AS valid FROM orders"
+
+
 def q_validate_lineitem(sf_dir):
     return _valid_flag_query(sf_dir, "lineitem", LINEITEM_SPEC,
                              ["l_orderkey", "l_linenumber"])
+
+
+q_validate_lineitem.oracle = ("SELECT l_orderkey, l_linenumber, "
+                              f"{_LINEITEM_VALID_SQL} AS valid FROM lineitem")
 
 
 def q_orders_violation_counts(sf_dir):
@@ -184,6 +202,7 @@ WITH o AS (SELECT * FROM orders), c AS (
       AND NOT regexp_matches(o_orderpriority, '^[1-5]-')
 ) SELECT keywordLocation, n FROM c WHERE n > 0
 """
+q_orders_violation_counts.oracle = _ORDERS_VIOLATION_COUNTS_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +254,7 @@ SELECT l_returnflag, l_linestatus,
        count(*) AS count_order
 FROM lineitem GROUP BY l_returnflag, l_linestatus
 """
+q_q1_pricing_summary.oracle = _Q1_SQL
 
 
 def q_top_orders(sf_dir):
@@ -248,6 +268,7 @@ _TOP_ORDERS_SQL = """
 SELECT o_orderkey, o_totalprice FROM orders
 ORDER BY o_totalprice DESC, o_orderkey LIMIT 10
 """
+q_top_orders.oracle = _TOP_ORDERS_SQL
 
 
 def q_customers_per_region(sf_dir):
@@ -287,6 +308,7 @@ FROM customer c JOIN nation n ON c.c_nationkey = n.n_nationkey
 JOIN region r ON n.n_regionkey = r.r_regionkey
 GROUP BY r.r_name
 """
+q_customers_per_region.oracle = _CUSTOMERS_PER_REGION_SQL
 
 
 def q_referential_lineitem_orders(sf_dir):
@@ -310,6 +332,7 @@ _REFERENTIAL_SQL = """
 SELECT count(*) AS n_orphans FROM lineitem
 WHERE l_orderkey NOT IN (SELECT o_orderkey FROM orders)
 """
+q_referential_lineitem_orders.oracle = _REFERENTIAL_SQL
 
 
 def q_events_by_type(sf_dir):
@@ -337,6 +360,7 @@ SELECT event_type, count(*) AS n, count(DISTINCT user_id) AS n_users,
        CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_e2
 FROM events GROUP BY event_type
 """
+q_events_by_type.oracle = _EVENTS_SQL
 
 
 def _ensure_columns(df: pd.DataFrame, schema: dict) -> pd.DataFrame:
@@ -361,6 +385,7 @@ _UNIQUENESS_ORDERS_SQL = """
 SELECT o_orderkey, count(*) AS n_rows FROM orders
 GROUP BY o_orderkey HAVING count(*) > 1
 """
+q_uniqueness_orders.oracle = _UNIQUENESS_ORDERS_SQL
 
 
 def q_profile_lineitem(sf_dir):
@@ -393,6 +418,7 @@ UNION ALL
 SELECT 'l_discount', count(*), count(*) - count(l_discount),
        min(l_discount), max(l_discount) FROM lineitem
 """
+q_profile_lineitem.oracle = _PROFILE_LINEITEM_SQL
 
 
 def q_orders_by_segment(sf_dir):
@@ -444,6 +470,7 @@ SELECT c.c_mktsegment, count(*) AS n_orders,
 FROM orders o JOIN customer c ON o.o_custkey = c.c_custkey
 GROUP BY c.c_mktsegment
 """
+q_orders_by_segment.oracle = _ORDERS_BY_SEGMENT_SQL
 
 
 def q_events_tumbling_hour(sf_dir):
@@ -473,6 +500,7 @@ SELECT event_type, date_trunc('hour', ts) AS window_start,
        CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_e2
 FROM events GROUP BY event_type, date_trunc('hour', ts)
 """
+q_events_tumbling_hour.oracle = _EVENTS_TUMBLING_SQL
 
 
 def q_events_sessions(sf_dir):
@@ -495,6 +523,7 @@ FROM (
   FROM events)
 GROUP BY user_id
 """
+q_events_sessions.oracle = _EVENTS_SESSIONS_SQL
 
 
 def q_events_asof_click_view(sf_dir):
@@ -546,6 +575,7 @@ ASOF LEFT JOIN (
                              ORDER BY event_id DESC) = 1
 ) v ON c.user_id = v.user_id AND v.ts <= c.ts
 """
+q_events_asof_click_view.oracle = _EVENTS_ASOF_SQL
 
 
 _VALUE_BANDS = [("low", 0.0, 50.0), ("mid", 50.0, 150.0),
@@ -591,6 +621,9 @@ GROUP BY b.band
 """
 
 
+q_events_value_bands.oracle = _value_bands_sql()
+
+
 def q_orders_top3_per_priority(sf_dir):
     """Window-rank analogue: top 3 orders by price per priority class
     (temporal.top_k_per_group — per-block prune, then one tiny shuffle)."""
@@ -620,6 +653,7 @@ QUALIFY row_number() OVER (
     PARTITION BY o_orderpriority
     ORDER BY round(o_totalprice * 100) DESC, o_orderkey) <= 3
 """
+q_orders_top3_per_priority.oracle = _ORDERS_TOP3_SQL
 
 
 def q_events_hopping_30m(sf_dir):
@@ -659,6 +693,7 @@ SELECT event_type, window_start, count(*) AS n,
        CAST(round(sum(value) * 100) AS BIGINT) AS sum_value_e2
 FROM assigned GROUP BY event_type, window_start
 """
+q_events_hopping_30m.oracle = _EVENTS_HOPPING_SQL
 
 
 def q_distinct_counts_lineitem(sf_dir):
@@ -681,6 +716,7 @@ SELECT 'l_linestatus', count(DISTINCT l_linestatus) FROM lineitem
 UNION ALL
 SELECT 'l_shipdate', count(DISTINCT l_shipdate) FROM lineitem
 """
+q_distinct_counts_lineitem.oracle = _DISTINCT_COUNTS_SQL
 
 
 _PRIORITY_DIM = [("1-URGENT", "hot"), ("2-HIGH", "hot"),
@@ -737,6 +773,9 @@ GROUP BY d.priority_class
 """
 
 
+q_orders_broadcast_enrich.oracle = _priority_dim_sql()
+
+
 _EVENT_TYPE_DIM = [("click", 1), ("view", 2), ("purchase", 3),
                    ("signup", 4), ("error", 5)]
 
@@ -791,6 +830,9 @@ ORDER BY d.type_code
 """
 
 
+q_events_skew_join_auto.oracle = _event_type_dim_sql()
+
+
 def q_uniqueness_lineitem_composite(sf_dir):
     """Composite-key uniqueness: (l_orderkey, l_linenumber) duplicates —
     the uniqueItems shuffle generalized to multi-column keys."""
@@ -805,6 +847,7 @@ _UNIQUENESS_COMPOSITE_SQL = """
 SELECT l_orderkey, l_linenumber, count(*) AS n_rows
 FROM lineitem GROUP BY l_orderkey, l_linenumber HAVING count(*) > 1
 """
+q_uniqueness_lineitem_composite.oracle = _UNIQUENESS_COMPOSITE_SQL
 
 
 _SPLIT_FRACS = {"train": 0.8, "valid": 0.1, "test": 0.1}
@@ -834,6 +877,7 @@ SELECT doc_id,
             ELSE 'test' END AS split
 FROM (SELECT doc_id, {_U_SQL.format(id='doc_id')} AS u FROM documents)
 """
+q_split_docs.oracle = _SPLIT_DOCS_SQL
 
 
 def q_stratified_sample_events(sf_dir):
@@ -856,6 +900,7 @@ FROM (SELECT event_id, event_type,
 WHERE u < CASE event_type WHEN 'click' THEN 0.5 WHEN 'error' THEN 1.0
           WHEN 'view' THEN 0.05 ELSE 0.0 END
 """
+q_stratified_sample_events.oracle = _STRATIFIED_SQL
 
 
 # nested-document validation: the props column is a JSON string; one
@@ -905,6 +950,7 @@ SELECT event_id,
            AS valid
 FROM events
 """
+q_validate_events_props.oracle = _EVENTS_PROPS_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +966,7 @@ def q_dedup_docs_exact(sf_dir):
 
 
 _DEDUP_DOCS_SQL = "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text"
+q_dedup_docs_exact.oracle = _DEDUP_DOCS_SQL
 
 
 def q_dup_groups_prefix24(sf_dir):
@@ -942,6 +989,7 @@ _DUP_GROUPS_SQL = """
 SELECT min(doc_id) AS group_id, count(*) AS n FROM documents
 GROUP BY substr(text, 1, 24) HAVING count(*) > 1
 """
+q_dup_groups_prefix24.oracle = _DUP_GROUPS_SQL
 
 
 def q_ngram_jaccard_docs(sf_dir):
@@ -980,6 +1028,7 @@ SELECT id_a, id_b, inter, uni, inter / uni AS jaccard FROM (
   FROM sh a JOIN sh b ON a.doc_id < b.doc_id
 ) WHERE inter / uni >= 0.5 ORDER BY id_a, id_b
 """
+q_ngram_jaccard_docs.oracle = _NGRAM_JACCARD_SQL
 
 
 def q_event_bigrams(sf_dir):
@@ -1003,6 +1052,7 @@ WITH o AS (
 SELECT prev, event_type AS next, CAST(count(*) AS BIGINT) AS n
 FROM o WHERE prev IS NOT NULL GROUP BY prev, next
 """
+q_event_bigrams.oracle = _EVENT_BIGRAMS_SQL
 
 
 def q_percent_rank_lineitem(sf_dir):
@@ -1028,6 +1078,7 @@ SELECT l_orderkey, l_linenumber, l_extendedprice,
                             l_linenumber) AS pct
 FROM lineitem WHERE l_extendedprice IS NOT NULL
 """
+q_percent_rank_lineitem.oracle = _PERCENT_RANK_SQL
 
 
 def q_mixture_docs(sf_dir):
@@ -1053,6 +1104,7 @@ SELECT doc_id, source FROM (
   FROM documents d JOIN c USING (source) CROSS JOIN m)
 WHERE u < rate
 """
+q_mixture_docs.oracle = _MIXTURE_SQL
 
 
 def q_grouped_p90_lineitem(sf_dir):
@@ -1075,6 +1127,7 @@ FROM lineitem
 WHERE l_returnflag IS NOT NULL AND l_extendedprice IS NOT NULL
 GROUP BY l_returnflag
 """
+q_grouped_p90_lineitem.oracle = _GROUPED_P90_SQL
 
 
 def q_tdigest_quantiles_lineitem(sf_dir):
@@ -1149,6 +1202,7 @@ SELECT l_returnflag, true AS p50_ok, true AS p90_ok, true AS p99_ok
 FROM lineitem WHERE l_returnflag IS NOT NULL
 GROUP BY l_returnflag
 """
+q_tdigest_quantiles_lineitem.oracle = _TDIGEST_QUANTILES_SQL
 
 
 def q_iqr_filter_lineitem(sf_dir):
@@ -1206,6 +1260,7 @@ WHERE l.l_extendedprice IS NOT NULL
   AND l.l_extendedprice >= q1 - 1.5 * (q3 - q1)
   AND l.l_extendedprice <= q3 + 1.5 * (q3 - q1)
 """
+q_iqr_filter_lineitem.oracle = _IQR_FILTER_SQL
 
 
 def q_zscore_lineitem(sf_dir):
@@ -1239,6 +1294,7 @@ SELECT l_orderkey, l_linenumber, l_returnflag, l_extendedprice,
 FROM lineitem
 WHERE l_returnflag IS NOT NULL AND l_extendedprice IS NOT NULL
 """
+q_zscore_lineitem.oracle = _ZSCORE_SQL
 
 
 def q_skew_lineitem(sf_dir):
@@ -1270,6 +1326,7 @@ FROM lineitem
 WHERE l_returnflag IS NOT NULL AND l_extendedprice IS NOT NULL
 GROUP BY l_returnflag
 """
+q_skew_lineitem.oracle = _SKEW_LINEITEM_SQL
 
 
 _HIST_LO_E2 = 0            # cents
@@ -1305,6 +1362,7 @@ SELECT least(greatest((CAST(round(l_extendedprice * 100) AS BIGINT)
 FROM lineitem WHERE l_extendedprice IS NOT NULL
 GROUP BY bin
 """
+q_histogram_lineitem.oracle = _HISTOGRAM_LINEITEM_SQL
 
 
 def q_q3_shipping(sf_dir):
@@ -1391,6 +1449,7 @@ GROUP BY l.l_orderkey, o.o_orderdate
 ORDER BY revenue_e2 DESC, o_orderkey ASC
 LIMIT 10
 """
+q_q3_shipping.oracle = _Q3_SHIPPING_SQL
 
 
 def q_chunk_docs(sf_dir):
@@ -1419,6 +1478,7 @@ SELECT doc_id,
        array_to_string(ws[s+1 : s+32], ' ') AS chunk_text
 FROM starts
 """
+q_chunk_docs.oracle = _CHUNK_DOCS_SQL
 
 
 def q_interval_join_events(sf_dir):
@@ -1476,6 +1536,7 @@ SELECT a.user_id, a.event_id AS l_event, b.event_id AS r_event,
 FROM a JOIN b ON a.user_id = b.user_id
   AND a.lo < b.hi AND b.lo < a.hi
 """
+q_interval_join_events.oracle = _INTERVAL_JOIN_SQL
 
 
 def q_retention_weekly(sf_dir):
@@ -1501,6 +1562,7 @@ SELECT CAST(cohort AS TIMESTAMP) AS cohort,
 FROM pairs JOIN firsts USING (user_id)
 GROUP BY cohort, date_diff('day', cohort, b) / 7
 """
+q_retention_weekly.oracle = _RETENTION_SQL
 
 
 def q_funnel_click_purchase(sf_dir):
@@ -1541,6 +1603,7 @@ SELECT c.user_id, n_a, n_b,
 FROM counts c LEFT JOIN gaps g USING (user_id)
 WHERE n_a > 0 OR n_b > 0
 """
+q_funnel_click_purchase.oracle = _FUNNEL_SQL
 
 
 def q_fd_part_supplier(sf_dir):
@@ -1561,6 +1624,7 @@ SELECT l_partkey, CAST(count(DISTINCT l_suppkey) AS BIGINT) AS n_values
 FROM lineitem WHERE l_partkey IS NOT NULL AND l_suppkey IS NOT NULL
 GROUP BY l_partkey HAVING count(DISTINCT l_suppkey) > 1
 """
+q_fd_part_supplier.oracle = _FD_PART_SUPPLIER_SQL
 
 
 def q_tfidf_docs(sf_dir):
@@ -1592,6 +1656,7 @@ scored AS (
 SELECT doc_id, tok, round(s, 4) AS score, CAST(rk AS BIGINT) AS rk
 FROM scored WHERE rk <= 3
 """
+q_tfidf_docs.oracle = _TFIDF_SQL
 
 
 def q_events_gapfill_hour(sf_dir):
@@ -1622,6 +1687,7 @@ SELECT grid.event_type, CAST(grid.ws AS TIMESTAMP) AS window_start,
 FROM grid LEFT JOIN agg
   ON grid.event_type = agg.event_type AND grid.ws = agg.ws
 """
+q_events_gapfill_hour.oracle = _EVENTS_GAPFILL_SQL
 
 
 def q_winsorize_lineitem(sf_dir):
@@ -1658,6 +1724,7 @@ SELECT l_orderkey, l_linenumber,
        CAST(least(greatest(l_extendedprice, lo), hi) AS DOUBLE) AS price_w
 FROM lineitem, b WHERE l_extendedprice IS NOT NULL
 """
+q_winsorize_lineitem.oracle = _WINSORIZE_SQL
 
 
 def q_top_tokens_docs(sf_dir):
@@ -1679,6 +1746,7 @@ WITH toks AS (
 SELECT tok, CAST(count(*) AS BIGINT) AS n FROM toks GROUP BY tok
 ORDER BY n DESC, tok LIMIT 20
 """
+q_top_tokens_docs.oracle = _TOP_TOKENS_SQL
 
 
 def q_kmeans_embeddings(sf_dir):
@@ -1748,6 +1816,9 @@ def _kmeans_embeddings_sql(sf_dir: str) -> str:
         + "SELECT vec_id, cluster, round(dist, 4) AS dist FROM a"
 
 
+q_kmeans_embeddings.oracle = _kmeans_embeddings_sql
+
+
 def _cluster_balanced_sample_sql(sf_dir: str) -> str:
     # the md5(vec_id) rank and per-cluster cap are fully independent SQL
     return _kmeans_oracle_base(sf_dir) + """,
@@ -1793,6 +1864,7 @@ SELECT d.doc_id, CAST(coalesce(n_tokens, 0) AS BIGINT) AS n_tokens,
        round(alp, 4) AS avg_logprob
 FROM documents d LEFT JOIN per USING (doc_id)
 """
+q_unigram_logprob_docs.oracle = _UNIGRAM_SQL
 
 
 def _drop_null_rows(ds, cols):
@@ -1831,6 +1903,7 @@ SELECT c.l_returnflag, min(c.l_quantity) AS mode_qty,
 FROM c JOIN m ON c.l_returnflag = m.l_returnflag AND c.n = m.mx
 GROUP BY c.l_returnflag, m.mx
 """
+q_lineitem_mode_qty.oracle = _LINEITEM_MODE_SQL
 
 
 def q_grouped_distinct_lineitem(sf_dir):
@@ -1849,6 +1922,7 @@ _GROUPED_DISTINCT_SQL = """
 SELECT l_returnflag, CAST(count(DISTINCT l_partkey) AS BIGINT) AS n_distinct
 FROM lineitem WHERE l_returnflag IS NOT NULL GROUP BY l_returnflag
 """
+q_grouped_distinct_lineitem.oracle = _GROUPED_DISTINCT_SQL
 
 
 def q_corr_lineitem(sf_dir):
@@ -1874,6 +1948,7 @@ _CORR_LINEITEM_SQL = """
 SELECT l_returnflag, round(corr(l_extendedprice, l_quantity), 4) AS corr_qp
 FROM lineitem WHERE l_returnflag IS NOT NULL GROUP BY l_returnflag
 """
+q_corr_lineitem.oracle = _CORR_LINEITEM_SQL
 
 
 def q_rollup_lineitem(sf_dir):
@@ -1901,6 +1976,7 @@ WHERE l_returnflag IS NOT NULL AND l_linestatus IS NOT NULL
   AND l_quantity IS NOT NULL
 GROUP BY ROLLUP(l_returnflag, l_linestatus)
 """
+q_rollup_lineitem.oracle = _ROLLUP_LINEITEM_SQL
 
 
 def q_quantiles_lineitem(sf_dir):
@@ -1923,6 +1999,7 @@ _QUANTILES_LINEITEM_SQL = "\nUNION ALL\n".join(
     f"CAST(quantile_disc(l_extendedprice, {q}) AS DOUBLE) AS value "
     "FROM lineitem"
     for q in [0.01, 0.25, 0.5, 0.75, 0.99])
+q_quantiles_lineitem.oracle = _QUANTILES_LINEITEM_SQL
 
 
 def q_dup_clusters_docs(sf_dir):
@@ -1986,6 +2063,7 @@ WITH RECURSIVE toks AS (
 SELECT u AS doc_id, min(v) AS component FROM reach GROUP BY u
 ORDER BY doc_id
 """
+q_dup_clusters_docs.oracle = _DUP_CLUSTERS_SQL
 
 
 def q_audio_features_clips(sf_dir):
@@ -2218,6 +2296,7 @@ SELECT printf('img-%06d', CAST(i AS INT)) AS img_id,
        (i % 8 != 0) AS px_std_in_band
 FROM range(2000) AS t(i)
 """
+q_media_image_features.oracle = _MEDIA_IMAGE_FEATURES_SQL
 
 
 def q_media_frame_sample(sf_dir):
@@ -2237,6 +2316,7 @@ SELECT printf('vid-%06d', CAST(v.i AS INT)) AS clip_id,
 FROM range(200) AS v(i)
 CROSS JOIN (VALUES (0), (6), (12), (18)) AS f(frame_idx)
 """
+q_media_frame_sample.oracle = _MEDIA_FRAME_SAMPLE_SQL
 
 
 def q_token_count_docs(sf_dir):
@@ -2254,6 +2334,7 @@ SELECT doc_id,
                        x -> x <> '')) AS n_tokens
 FROM documents
 """
+q_token_count_docs.oracle = _TOKEN_COUNT_SQL
 
 
 def q_bpe_token_count_docs(sf_dir):
@@ -2271,6 +2352,7 @@ SELECT doc_id,
            ' ?\p{L}+| ?\p{N}+| ?[^\s\p{L}\p{N}]+|\s+')) AS n_bpe_tokens
 FROM documents
 """
+q_bpe_token_count_docs.oracle = _BPE_TOKEN_COUNT_SQL
 
 
 def q_compression_ratio_docs(sf_dir):
@@ -2310,6 +2392,7 @@ SELECT doc_id,
        ELSE 0.0 END AS avg_token_len
 FROM documents
 """
+q_quality_docs.oracle = _QUALITY_SQL
 
 
 def q_lang_id_docs(sf_dir):
@@ -2337,6 +2420,9 @@ def _lang_id_sql():
     return f"SELECT doc_id, {case} AS lang_pred FROM documents"
 
 
+q_lang_id_docs.oracle = _lang_id_sql()
+
+
 def q_fingerprint_docs(sf_dir):
     from ..functions.text import fingerprint_md5_batch
 
@@ -2347,6 +2433,7 @@ def q_fingerprint_docs(sf_dir):
 
 
 _FINGERPRINT_SQL = "SELECT doc_id, md5(text) AS fingerprint FROM documents"
+q_fingerprint_docs.oracle = _FINGERPRINT_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -2494,6 +2581,11 @@ SELECT query_id, neighbor_id, rank FROM (
   FROM embeddings q, embeddings c WHERE q.vec_id < 10
 ) WHERE rank <= 5
 """
+q_ann_topk.oracle = _ANN_TOPK_SQL
+q_ann_topk_ivf.oracle = _ANN_TOPK_SQL
+q_ann_topk_ivf_persisted.oracle = _ANN_TOPK_SQL
+q_ann_topk_pq.oracle = _ANN_TOPK_SQL
+q_ann_topk_ivfpq.oracle = _ANN_TOPK_SQL
 
 
 def q_infer_spec_orders(sf_dir):
@@ -2602,7 +2694,7 @@ SELECT c.col AS "column", c.jtype,
 FROM cols c CROSS JOIN stats
 ORDER BY c.col
 """
-
+q_infer_spec_orders.oracle = _INFER_SPEC_ORDERS_SQL
 
 
 def q_semantic_dedup_embeddings(sf_dir):
@@ -2635,6 +2727,7 @@ WHERE a.vec_id < b.vec_id
   AND round(list_cosine_similarity(CAST(a.embedding AS DOUBLE[]),
                                    CAST(b.embedding AS DOUBLE[])), 6) >= 0.45
 """
+q_embedding_neardup.oracle = _EMBEDDING_NEARDUP_SQL
 
 
 def q_embedding_dup_clusters(sf_dir):
@@ -2676,6 +2769,7 @@ WITH RECURSIVE pairs AS (
 SELECT u AS vec_id, min(v) AS component FROM reach GROUP BY u
 ORDER BY vec_id
 """
+q_embedding_dup_clusters.oracle = _EMBEDDING_DUP_CLUSTERS_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -2823,6 +2917,9 @@ FROM c
 """
 
 
+q_speaking_rate_clips.oracle = _speaking_rate_sql
+
+
 def q_order_totals_consistency(sf_dir):
     """Cross-table aggregate consistency: each order's stored
     o_totalprice vs the sum of its lineitems' extendedprice*(1-disc)*
@@ -2870,6 +2967,7 @@ SELECT o_orderkey,
 FROM j
 WHERE calc_cents IS NULL OR abs(total_cents - calc_cents) > tol_cents
 """
+q_order_totals_consistency.oracle = _ORDER_TOTALS_CONSISTENCY_SQL
 
 
 def q_dup_ngrams_docs(sf_dir):
@@ -2901,6 +2999,7 @@ SELECT g.doc_id, CAST(count(*) AS BIGINT) AS n_grams,
 FROM g LEFT JOIN d ON g.gram = d.gram
 GROUP BY g.doc_id
 """
+q_dup_ngrams_docs.oracle = _DUP_NGRAMS_DOCS_SQL
 
 
 def q_segment_dedup_docs(sf_dir):
@@ -2934,6 +3033,7 @@ SELECT s.doc_id, CAST(count(*) AS BIGINT) AS n_segs,
 FROM segs s JOIN freq f USING (seg)
 GROUP BY s.doc_id
 """
+q_segment_dedup_docs.oracle = _SEGMENT_DEDUP_DOCS_SQL
 
 
 def q_source_quota_docs(sf_dir):
@@ -2956,6 +3056,7 @@ SELECT source, doc_id, n_chars FROM documents
 QUALIFY row_number() OVER (
     PARTITION BY source ORDER BY n_chars DESC, doc_id) <= 40
 """
+q_source_quota_docs.oracle = _SOURCE_QUOTA_SQL
 
 
 def q_gopher_filter_docs(sf_dir):
@@ -3005,6 +3106,7 @@ SELECT doc_id, n_words, mean_word_len, frac_alpha_words, n_stop_hits,
        AND (n_stop_hits >= 1) AS kept
 FROM f
 """
+q_gopher_filter_docs.oracle = _GOPHER_FILTER_SQL
 
 
 def q_dsir_logratio_docs(sf_dir):
@@ -3054,6 +3156,7 @@ SELECT d.doc_id, CAST(coalesce(n_feats, 0) AS BIGINT) AS n_feats,
 FROM documents d LEFT JOIN per USING (doc_id)
 WHERE d.text IS NOT NULL
 """
+q_dsir_logratio_docs.oracle = _DSIR_LOGRATIO_SQL
 
 
 def q_dedup_corpus_docs(sf_dir):
@@ -3113,6 +3216,7 @@ WITH RECURSIVE toks AS (
 SELECT d.doc_id, d.n_chars FROM documents d
 WHERE d.doc_id NOT IN (SELECT doc_id FROM removed)
 """
+q_dedup_corpus_docs.oracle = _DEDUP_CORPUS_SQL
 
 
 def q_editdist_clips(sf_dir):
@@ -3153,6 +3257,9 @@ FROM p WHERE d <= 4 GROUP BY id_a, id_b
 """
 
 
+q_editdist_clips.oracle = _editdist_clips_sql
+
+
 def q_clips_validation(sf_dir):
     """Flagship constraint suite over the synthesized clips table."""
     from ..sources.clips import clips_cache_dir
@@ -3166,7 +3273,10 @@ def q_clips_validation(sf_dir):
     return pd.DataFrame([s])
 
 
-def q_clips_violations(sf_dir):
+q_clips_validation.oracle = _clips_validation_sql
+
+
+def q_clips_violation_counts(sf_dir):
     from ..sources.clips import clips_cache_dir
     from .validate import clip_validation_pipeline
 
@@ -3176,6 +3286,9 @@ def q_clips_violations(sf_dir):
     return counts.map_batches(
         lambda t: t.rename_columns(["keywordLocation", "n"]),
         batch_format="pyarrow")
+
+
+q_clips_violation_counts.oracle = _clips_violation_counts_sql
 
 
 def q_clips_decode(sf_dir):
@@ -3257,6 +3370,9 @@ FROM d2 GROUP BY 1, 2 ORDER BY 1, 2
 """
 
 
+q_clips_decode.oracle = _clips_decode_sql
+
+
 #: banker's-rounding SQL fragment over a scalar x (Python round()
 #: semantics — the resampler computes round(len*16000/sr) with float64
 #: half-to-even, which SQL round() would get wrong at exact halves)
@@ -3326,6 +3442,9 @@ FROM r2
 """
 
 
+q_audio_resample_vad_clips.oracle = _audio_resample_vad_sql
+
+
 def _audio_mel_sql(sf_dir: str) -> str:
     """Round-5 value oracle: mel framing is 512-sample tumbling windows
     over the 16 kHz resample (zero-padded to one frame when shorter);
@@ -3338,6 +3457,9 @@ SELECT clip_id, resample_ok AS mel_ok,
   resample_ok AS mel_finite
 FROM r2
 """
+
+
+q_audio_mel_clips.oracle = _audio_mel_sql
 
 
 def _audio_specaugment_sql(sf_dir: str) -> str:
@@ -3413,6 +3535,9 @@ FROM f
 """
 
 
+q_audio_features_clips.oracle = _audio_features_sql
+
+
 def _audio_qc_sql(sf_dir: str) -> str:
     """Round-5 value oracle: on the tone corpus the QC gates partition
     rows into exactly (decodable nonempty -> pass) vs everything else,
@@ -3443,6 +3568,9 @@ WHERE resample_ok AND n_samples // 320 >= 5
 """
 
 
+q_audio_prep_segments.oracle = _audio_prep_segments_sql
+
+
 def q_grouped_stats_codec(sf_dir):
     """Salted grouped stats over the hot codec key; the oracle checks the
     exact fields (n/n_null/mean/min/max — integer dur_ms sums are exact in
@@ -3471,6 +3599,9 @@ SELECT codec, count(*) AS n,
 FROM read_parquet('{path}/*.parquet')
 WHERE codec IS NOT NULL GROUP BY codec
 """
+
+
+q_grouped_stats_codec.oracle = _grouped_stats_codec_sql
 
 
 def q_profile_sketches_lineitem(sf_dir):
@@ -3564,9 +3695,10 @@ SELECT 'l_extendedprice', 'numeric', count(*),
        true, true, true, true, true, true
 FROM lineitem
 """
+q_profile_sketches_lineitem.oracle = _PROFILE_SKETCHES_SQL
 
 
-def q_drift_lineitem_halves(sf_dir):
+def q_drift_lineitem(sf_dir):
     """Drift between two halves of lineitem (should NOT drift) plus a
     scaled copy (SHOULD drift) — returns the verdict rows."""
     from ..state.profile import drift_report
@@ -3611,9 +3743,10 @@ SELECT * FROM (VALUES ('same', 'l_quantity', false),
                       ('scaled', 'l_quantity', true))
   AS t("case", "column", drifted)
 """
+q_drift_lineitem.oracle = _DRIFT_LINEITEM_SQL
 
 
-def q_minhash_docs(sf_dir):
+def q_minhash_lsh_docs(sf_dir):
     from ..functions.dedup import minhash_lsh_pairs
 
     ds = read_table(table_path(sf_dir, "documents"),
@@ -3661,6 +3794,7 @@ SELECT doc_id,
          AS text_norm_chars
 FROM documents
 """
+q_normalize_docs.oracle = _NORMALIZE_SQL
 
 
 def q_repetition_docs(sf_dir):
@@ -3687,6 +3821,7 @@ SELECT d.doc_id,
        CAST(coalesce(top_tok_count, 0) AS BIGINT) AS top_tok_count
 FROM documents d LEFT JOIN per USING (doc_id)
 """
+q_repetition_docs.oracle = _REPETITION_SQL
 
 
 def q_lexdiv_docs(sf_dir):
@@ -3717,6 +3852,7 @@ SELECT a.doc_id,
 FROM agg a JOIN ent USING (doc_id)
 GROUP BY a.doc_id
 """
+q_lexdiv_docs.oracle = _LEXDIV_SQL
 
 
 def q_pii_docs(sf_dir):
@@ -3774,6 +3910,9 @@ FROM scan
 """
 
 
+q_pii_docs.oracle = _pii_sql()
+
+
 # benchmark-contamination phrase list: fixed literals (stand-ins for an
 # eval-set n-gram inventory; broadcast once at scale)
 CONTAM_PHRASES = ("table table", "query big query", "fast merge batch",
@@ -3802,6 +3941,9 @@ FROM documents
 """
 
 
+q_contamination_docs.oracle = _contamination_sql()
+
+
 def q_shuffle_docs(sf_dir):
     from ..functions.scan import global_rank
 
@@ -3815,6 +3957,7 @@ SELECT doc_id,
          AS shuffle_rank
 FROM documents
 """
+q_shuffle_docs.oracle = _SHUFFLE_SQL
 
 
 def q_weighted_topk_docs(sf_dir):
@@ -3844,6 +3987,7 @@ SELECT doc_id, n_chars FROM (
   ORDER BY key DESC, doc_id LIMIT 100)
 ORDER BY doc_id
 """
+q_weighted_topk_docs.oracle = _WEIGHTED_TOPK_SQL
 
 
 def _perturb_orders_batch(t: pa.Table) -> pa.Table:
@@ -3919,6 +4063,7 @@ WHERE o.o_orderkey IS NULL OR n.o_orderkey IS NULL
    OR o.o_totalprice IS DISTINCT FROM n.o_totalprice
    OR o.o_orderstatus IS DISTINCT FROM n.o_orderstatus
 """
+q_snapshot_diff_orders.oracle = _SNAPSHOT_DIFF_SQL
 
 
 _INCR_ORDERS_SPEC = {
@@ -4076,6 +4221,7 @@ SELECT CAST(day AS VARCHAR) AS day,
 FROM x WHERE p0 IS NOT NULL
 GROUP BY day
 """
+q_drift_daily_events.oracle = _DRIFT_DAILY_SQL
 
 
 def q_repair_orders(sf_dir):
@@ -4116,6 +4262,7 @@ SELECT o_orderkey, o_totalprice, o_orderstatus, o_orderpriority,
         OR pr0 IS DISTINCT FROM o_orderpriority) AS repaired
 FROM fixed
 """
+q_repair_orders.oracle = _REPAIR_ORDERS_SQL
 
 
 _INCR_VALIDATE_SQL = r"""
@@ -4139,6 +4286,7 @@ SELECT o_orderkey,
              OR (o_totalprice > 0 AND o_totalprice <= 300000))) AS valid
 FROM new_snap
 """
+q_incremental_validate_orders.oracle = _INCR_VALIDATE_SQL
 
 
 def q_pack_docs(sf_dir):
@@ -4169,6 +4317,7 @@ SELECT doc_id, CAST(n_tokens AS BIGINT) AS n_tokens,
        CAST(excl % 512 AS BIGINT) AS pack_pos
 FROM c
 """
+q_pack_docs.oracle = _PACK_SQL
 
 
 def q_drift_psi_bins_lineitem(sf_dir):
@@ -4212,6 +4361,7 @@ FROM lineitem
 WHERE l_quantity IS NOT NULL
 GROUP BY 1
 """
+q_drift_psi_bins_lineitem.oracle = _DRIFT_PSI_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -4249,6 +4399,7 @@ SELECT user_id, event_id,
        ROWS BETWEEN 4 PRECEDING AND CURRENT ROW) AS BIGINT) AS roll_n
 FROM v
 """
+q_events_user_windows.oracle = _EVENTS_USER_WINDOWS_SQL
 
 
 def q_events_moving_median(sf_dir):
@@ -4269,6 +4420,7 @@ SELECT user_id, event_id,
              ROWS BETWEEN 2 PRECEDING AND CURRENT ROW), 4) AS med
 FROM events
 """
+q_events_moving_median.oracle = _EVENTS_MOVING_MEDIAN_SQL
 
 
 def q_docs_ntile(sf_dir):
@@ -4286,6 +4438,7 @@ SELECT doc_id,
             AS BIGINT) AS tile
 FROM documents
 """
+q_docs_ntile.oracle = _DOCS_NTILE_SQL
 
 
 def q_custkeys_without_orders(sf_dir):
@@ -4307,6 +4460,7 @@ SELECT c_custkey AS key FROM customer
 EXCEPT
 SELECT o_custkey AS key FROM orders
 """
+q_custkeys_without_orders.oracle = _CUSTKEYS_EXCEPT_SQL
 
 
 def q_referential_shuffle_lineitem(sf_dir):
@@ -4334,6 +4488,7 @@ WHERE l_orderkey IS NOT NULL
   AND l_orderkey NOT IN (SELECT o_orderkey FROM orders)
 GROUP BY 1
 """
+q_referential_shuffle_lineitem.oracle = _REFERENTIAL_SHUFFLE_SQL
 
 
 def q_events_pivot_hour_bands(sf_dir):
@@ -4382,6 +4537,9 @@ def _pivot_hour_bands_sql() -> str:
             + " FROM events GROUP BY event_type")
 
 
+q_events_pivot_hour_bands.oracle = _pivot_hour_bands_sql()
+
+
 def q_lineitem_median_qty(sf_dir):
     """Exact per-group median over the low-cardinality quantity domain:
     (key, value) count pairs shuffle, never rows."""
@@ -4401,6 +4559,7 @@ SELECT l_returnflag, median(l_quantity) AS median
 FROM lineitem WHERE l_quantity IS NOT NULL
 GROUP BY l_returnflag
 """
+q_lineitem_median_qty.oracle = _LINEITEM_MEDIAN_SQL
 
 
 def q_docs_string_agg(sf_dir):
@@ -4428,6 +4587,7 @@ SELECT lang, string_agg(substring(text, 1, 8), '|' ORDER BY doc_id) AS agg,
 FROM documents WHERE doc_id % 7 = 0
 GROUP BY lang
 """
+q_docs_string_agg.oracle = _DOCS_STRING_AGG_SQL
 
 
 def q_audio_pitch_clips(sf_dir):
@@ -4480,6 +4640,9 @@ def q_audio_cmvn_clips(sf_dir):
     return out.map_batches(project, batch_format="pyarrow")
 
 
+q_audio_cmvn_clips.oracle = _audio_cmvn_sql
+
+
 def q_cluster_balanced_sample(sf_dir):
     """Cluster-balanced curation sample: k-means clusters the embedding
     space, then each cluster is capped at 24 rows by deterministic
@@ -4510,6 +4673,9 @@ def q_cluster_balanced_sample(sf_dir):
     return top_k_per_group(ranked, group_cols=["cluster"],
                            order_col="h", k=24, descending=False,
                            tie_cols=("vec_id",))
+
+
+q_cluster_balanced_sample.oracle = _cluster_balanced_sample_sql
 
 
 def q_audio_mfcc_clips(sf_dir):
@@ -4554,7 +4720,7 @@ def q_audio_mfcc_clips(sf_dir):
     return out.map_batches(project, batch_format="pyarrow")
 
 
-def q_audio_fingerprint_dedup_clips(sf_dir):
+def q_audio_fingerprint_dedup(sf_dir):
     """Content-based audio dedup, the 100 TB scale path: constellation
     (peak-pair) landmark hashes -> bucketed hash groupby -> offset-
     consistency vote. Unlike q_audio_neardup_clips' exact all-pairs
@@ -4643,9 +4809,12 @@ def q_audio_denoise_clips(sf_dir):
     return out.map_batches(contract, batch_format="pyarrow")
 
 
+q_audio_denoise_clips.oracle = _audio_denoise_sql
+
+
 def q_audio_fingerprint_clusters(sf_dir):
     """Full audio dedup decision: constellation-fingerprint match pairs
-    (q_audio_fingerprint_dedup_clips) -> distributed connected
+    (q_audio_fingerprint_dedup) -> distributed connected
     components (functions/graph.py) -> per-cluster canonical = min
     clip_id. Output is one row per clip that belongs to a duplicate
     cluster with its component label; downstream dedup keeps rows where
@@ -4655,7 +4824,7 @@ def q_audio_fingerprint_clusters(sf_dir):
     # matched pairs stay a Dataset (typed string empties keep the schema
     # when no pair survives); materialize() pins the small pair set for
     # CC's per-round edge re-reads
-    pairs = q_audio_fingerprint_dedup_clips(sf_dir).materialize()
+    pairs = q_audio_fingerprint_dedup(sf_dir).materialize()
     if pairs.count() == 0:
         return pd.DataFrame({"clip_id": pd.Series([], dtype=object),
                              "component": pd.Series([], dtype=object)})
@@ -4699,6 +4868,9 @@ def q_audio_specaugment_clips(sf_dir):
     return out.map_batches(project, batch_format="pyarrow")
 
 
+q_audio_specaugment_clips.oracle = _audio_specaugment_sql
+
+
 def q_oov_docs(sf_dir):
     """Out-of-vocabulary scoring vs a corpus-derived vocabulary
     (distributed word count -> broadcast membership pass)."""
@@ -4724,530 +4896,7 @@ SELECT d.doc_id, CAST(coalesce(n_tokens, 0) AS BIGINT) AS n_tokens,
        CAST(coalesce(n_oov, 0) AS BIGINT) AS n_oov
 FROM documents d LEFT JOIN per USING (doc_id)
 """
-
-
-# ---------------------------------------------------------------------------
-
-
-def build_queries() -> dict:
-    return {
-        # relational / aggregates
-        "q1_pricing_summary": q_q1_pricing_summary,
-        "zorder_pruning_lineitem": q_zorder_pruning_lineitem,
-        "top_orders": q_top_orders,
-        "customers_per_region": q_customers_per_region,
-        "referential_lineitem_orders": q_referential_lineitem_orders,
-        "events_by_type": q_events_by_type,
-        "uniqueness_orders": q_uniqueness_orders,
-        "profile_lineitem": q_profile_lineitem,
-        "orders_by_segment": q_orders_by_segment,
-        "events_tumbling_hour": q_events_tumbling_hour,
-        "events_sessions": q_events_sessions,
-        "events_asof_click_view": q_events_asof_click_view,
-        "events_value_bands": q_events_value_bands,
-        "orders_top3_per_priority": q_orders_top3_per_priority,
-        "validate_events_props": q_validate_events_props,
-        "events_hopping_30m": q_events_hopping_30m,
-        "distinct_counts_lineitem": q_distinct_counts_lineitem,
-        "split_docs": q_split_docs,
-        "stratified_sample_events": q_stratified_sample_events,
-        "orders_broadcast_enrich": q_orders_broadcast_enrich,
-        "uniqueness_lineitem_composite": q_uniqueness_lineitem_composite,
-        "events_skew_join_auto": q_events_skew_join_auto,
-        "events_user_windows": q_events_user_windows,
-        "events_moving_median": q_events_moving_median,
-        "docs_ntile": q_docs_ntile,
-        "custkeys_without_orders": q_custkeys_without_orders,
-        "referential_shuffle_lineitem": q_referential_shuffle_lineitem,
-        "events_pivot_hour_bands": q_events_pivot_hour_bands,
-        "lineitem_median_qty": q_lineitem_median_qty,
-        "docs_string_agg": q_docs_string_agg,
-        "oov_docs": q_oov_docs,
-        "dup_clusters_docs": q_dup_clusters_docs,
-        "dup_ngrams_docs": q_dup_ngrams_docs,
-        "segment_dedup_docs": q_segment_dedup_docs,
-        "dsir_logratio_docs": q_dsir_logratio_docs,
-        "source_quota_docs": q_source_quota_docs,
-        "gopher_filter_docs": q_gopher_filter_docs,
-        "order_totals_consistency": q_order_totals_consistency,
-        "dedup_corpus_docs": q_dedup_corpus_docs,
-        "quantiles_lineitem": q_quantiles_lineitem,
-        "lineitem_mode_qty": q_lineitem_mode_qty,
-        "grouped_distinct_lineitem": q_grouped_distinct_lineitem,
-        "corr_lineitem": q_corr_lineitem,
-        "rollup_lineitem": q_rollup_lineitem,
-        "unigram_logprob_docs": q_unigram_logprob_docs,
-        "top_tokens_docs": q_top_tokens_docs,
-        "events_gapfill_hour": q_events_gapfill_hour,
-        "winsorize_lineitem": q_winsorize_lineitem,
-        "fd_part_supplier": q_fd_part_supplier,
-        "tfidf_docs": q_tfidf_docs,
-        "funnel_click_purchase": q_funnel_click_purchase,
-        "retention_weekly": q_retention_weekly,
-        "interval_join_events": q_interval_join_events,
-        "chunk_docs": q_chunk_docs,
-        "zscore_lineitem": q_zscore_lineitem,
-        "iqr_filter_lineitem": q_iqr_filter_lineitem,
-        "grouped_p90_lineitem": q_grouped_p90_lineitem,
-        "mixture_docs": q_mixture_docs,
-        "percent_rank_lineitem": q_percent_rank_lineitem,
-        "event_bigrams": q_event_bigrams,
-        "embedding_dup_clusters": q_embedding_dup_clusters,
-        # per-row validation engine
-        "validate_orders": q_validate_orders,
-        "validate_lineitem": q_validate_lineitem,
-        "orders_violation_counts": q_orders_violation_counts,
-        "skew_lineitem": q_skew_lineitem,
-        "histogram_lineitem": q_histogram_lineitem,
-        "q3_shipping": q_q3_shipping,
-        # documents
-        "dedup_docs_exact": q_dedup_docs_exact,
-        "dup_groups_prefix24": q_dup_groups_prefix24,
-        "ngram_jaccard_docs": q_ngram_jaccard_docs,
-        "token_count_docs": q_token_count_docs,
-        "bpe_token_count_docs": q_bpe_token_count_docs,
-        "compression_ratio_docs": q_compression_ratio_docs,
-        "quality_docs": q_quality_docs,
-        "lang_id_docs": q_lang_id_docs,
-        "fingerprint_docs": q_fingerprint_docs,
-        "normalize_docs": q_normalize_docs,
-        "repetition_docs": q_repetition_docs,
-        "lexdiv_docs": q_lexdiv_docs,
-        "pii_docs": q_pii_docs,
-        "contamination_docs": q_contamination_docs,
-        "shuffle_docs": q_shuffle_docs,
-        "weighted_topk_docs": q_weighted_topk_docs,
-        "pack_docs": q_pack_docs,
-        "snapshot_diff_orders": q_snapshot_diff_orders,
-        "incremental_validate_orders": q_incremental_validate_orders,
-        "repair_orders": q_repair_orders,
-        "drift_daily_events": q_drift_daily_events,
-        "drift_psi_bins_lineitem": q_drift_psi_bins_lineitem,
-        "events_lag_delta": q_events_lag_delta,
-        "events_throttle": q_events_throttle,
-        "q5_nation_revenue": q_q5_nation_revenue,
-        "q10_returned_revenue": q_q10_returned_revenue,
-        "repeat_customers": q_repeat_customers,
-        "q13_order_distribution": q_q13_order_distribution,
-        "q18_large_orders": q_q18_large_orders,
-        "weighted_sample_docs": q_weighted_sample_docs,
-        "copurchase_parts": q_copurchase_parts,
-        "weighted_avg_lineitem": q_weighted_avg_lineitem,
-        "mad_lineitem": q_mad_lineitem,
-        "user_entropy_events": q_user_entropy_events,
-        "centroids_embeddings": q_centroids_embeddings,
-        "customer_spend_deciles": q_customer_spend_deciles,
-        "big_spenders": q_big_spenders,
-        "brand_share": q_brand_share,
-        "weekly_revenue_wow": q_weekly_revenue_wow,
-        "gini_spend": q_gini_spend,
-        "ship_latency_by_priority": q_ship_latency_by_priority,
-        "latest_event_per_user_type": q_latest_event_per_user_type,
-        "events_rle_compress": q_events_rle_compress,
-        "top_event_by_value_per_user": q_top_event_by_value_per_user,
-        "docs_percentrank_by_source": q_docs_percentrank_by_source,
-        "lineitem_unpivot": q_lineitem_unpivot,
-        "events_conditional_agg": q_events_conditional_agg,
-        "revenue_trend_theilsen": q_revenue_trend_theilsen,
-        "null_profile_lineitem": q_null_profile_lineitem,
-        "events_rolling_stats": q_events_rolling_stats,
-        "weekly_hhi_by_segment": q_weekly_hhi_by_segment,
-        "wau_rolling_7d": q_wau_rolling_7d,
-        "chi2_event_weekday": q_chi2_event_weekday,
-        "heavy_hitter_parts": q_heavy_hitter_parts,
-        "regr_slope_lineitem": q_regr_slope_lineitem,
-        "orders_with_high_discount": q_orders_with_high_discount,
-        "parts_all_low_discount": q_parts_all_low_discount,
-        "q4_late_orders": q_q4_late_orders,
-        "q14_promo_share": q_q14_promo_share,
-        "q17_small_qty_revenue": q_q17_small_qty_revenue,
-        "q12_shipping_delay_bands": q_q12_shipping_delay_bands,
-        "q19_disjunctive_revenue": q_q19_disjunctive_revenue,
-        "q22_idle_rich_customers": q_q22_idle_rich_customers,
-        "covar_lineitem": q_covar_lineitem,
-        "customer_cume_dist": q_customer_cume_dist,
-        "dense_rank_brands": q_dense_rank_brands,
-        "cube_lineitem": q_cube_lineitem,
-        "percentile_cont_lineitem": q_percentile_cont_lineitem,
-        "events_lead_delta": q_events_lead_delta,
-        "supplier_balance_by_region": q_supplier_balance_by_region,
-        "partkeys_union": q_partkeys_union,
-        "first_event_per_user": q_first_event_per_user,
-        "props_k_stats": q_props_k_stats,
-        "customer_order_gap_median": q_customer_order_gap_median,
-        "events_dow_hour_heatmap": q_events_dow_hour_heatmap,
-        "part_color_counts": q_part_color_counts,
-        "priority_label_counts": q_priority_label_counts,
-        "quarterly_revenue": q_quarterly_revenue,
-        "embedding_component_stats": q_embedding_component_stats,
-        "spearman_lineitem": q_spearman_lineitem,
-        "session_duration_stats": q_session_duration_stats,
-        "weighted_median_qty": q_weighted_median_qty,
-        "order_line_coverage": q_order_line_coverage,
-        "orders_above_segment_avg": q_orders_above_segment_avg,
-        "user_twap_value": q_user_twap_value,
-        "events_ohlc_hourly": q_events_ohlc_hourly,
-        "user_growth_daily": q_user_growth_daily,
-        "grouping_sets_lineitem": q_grouping_sets_lineitem,
-        "trimmed_mean_qty": q_trimmed_mean_qty,
-        "orders_1997_high_value": q_orders_1997_high_value,
-        "join_skew_profile": q_join_skew_profile,
-        "events_type_share_daily": q_events_type_share_daily,
-        "embedding_pca_evr": q_embedding_pca_evr,
-        "embedding_linear_probe": q_embedding_linear_probe,
-        "corr_matrix_lineitem": q_corr_matrix_lineitem,
-        "mutual_info_flag_status": q_mutual_info_flag_status,
-        # embeddings
-        "ann_topk": q_ann_topk,
-        "ann_topk_ivf": q_ann_topk_ivf,
-        "ann_topk_ivf_persisted": q_ann_topk_ivf_persisted,
-        "ann_topk_pq": q_ann_topk_pq,
-        "ann_topk_ivfpq": q_ann_topk_ivfpq,
-        "semantic_dedup_embeddings": q_semantic_dedup_embeddings,
-        "infer_spec_orders": q_infer_spec_orders,
-        "embedding_neardup": q_embedding_neardup,
-        # clips flagship (oracle-checked against the same /tmp cache)
-        "clips_validation": q_clips_validation,
-        "speaking_rate_clips": q_speaking_rate_clips,
-        "editdist_clips": q_editdist_clips,
-        "clips_violation_counts": q_clips_violations,
-        # rows-only (no SQL equivalent)
-        "clips_decode": q_clips_decode,
-        "grouped_stats_codec": q_grouped_stats_codec,
-        "profile_sketches_lineitem": q_profile_sketches_lineitem,
-        "tdigest_quantiles_lineitem": q_tdigest_quantiles_lineitem,
-        "drift_lineitem": q_drift_lineitem_halves,
-        "audio_features_clips": q_audio_features_clips,
-        "audio_resample_vad_clips": q_audio_resample_vad_clips,
-        "audio_mel_clips": q_audio_mel_clips,
-        "audio_neardup_clips": q_audio_neardup_clips,
-        "audio_fingerprint_dedup": q_audio_fingerprint_dedup_clips,
-        "audio_mfcc_clips": q_audio_mfcc_clips,
-        "audio_fingerprint_clusters": q_audio_fingerprint_clusters,
-        "audio_denoise_clips": q_audio_denoise_clips,
-        "audio_prep_segments": q_audio_prep_segments,
-        "audio_pitch_clips": q_audio_pitch_clips,
-        "audio_cmvn_clips": q_audio_cmvn_clips,
-        "media_image_features": q_media_image_features,
-        "media_frame_sample": q_media_frame_sample,
-        "minhash_lsh_docs": q_minhash_docs,
-        "simhash_docs": q_simhash_docs,
-        "embedding_neardup_lsh": q_embedding_neardup_lsh,
-        "kmeans_embeddings": q_kmeans_embeddings,
-        "audio_specaugment_clips": q_audio_specaugment_clips,
-        "cluster_balanced_sample": q_cluster_balanced_sample,
-        # audio analysis family (stages/analysis.py)
-        "audio_qc_clips": q_audio_qc_clips,
-        "audio_chroma_clips": q_audio_chroma_clips,
-        "audio_onset_clips": q_audio_onset_clips,
-        "audio_stretch_clips": q_audio_stretch_clips,
-        "audio_chunk_clips": q_audio_chunk_clips,
-        # round-2 relational additions
-        "events_user_streaks": q_events_user_streaks,
-        "events_markov_transitions": q_events_markov_transitions,
-        "cohort_retention_matrix": q_cohort_retention_matrix,
-        "parts_skyline": q_parts_skyline,
-        "lineitem_benford": q_lineitem_benford,
-        "lineitem_key_gaps": q_lineitem_key_gaps,
-        "copurchase_triangles": q_copurchase_triangles,
-        "copurchase_pagerank": q_copurchase_pagerank,
-        "copurchase_pagerank_resident": q_copurchase_pagerank_resident,
-        "audio_trim_clips": q_audio_trim_clips,
-        "audio_compress_clips": q_audio_compress_clips,
-        "audio_similar_clips": q_audio_similar_clips,
-        "supplier_busy_windows": q_supplier_busy_windows,
-        "trending_parts_decay": q_trending_parts_decay,
-        "frequent_values_lineitem": q_frequent_values_lineitem,
-        "events_ewma_value": q_events_ewma_value,
-        "audio_transcode_clips": q_audio_transcode_clips,
-        "events_session_paths": q_events_session_paths,
-        "scd2_orders_history": q_scd2_orders_history,
-        "codec_sniff_clips": q_codec_sniff_clips,
-        "bigram_logprob_docs": q_bigram_logprob_docs,
-        "zipf_fit_docs": q_zipf_fit_docs,
-        "ann_topk_ivf_appended": q_ann_topk_ivf_appended,
-        "audio_pitchshift_clips": q_audio_pitchshift_clips,
-        "customer_rfm": q_customer_rfm,
-        "pareto_parts_revenue": q_pareto_parts_revenue,
-        "q3_shipping_priority": q_q3_shipping_priority,
-        "q4_order_priority": q_q4_order_priority,
-        "q13_customer_distribution": q_q13_customer_distribution,
-        "q14_promo_effect": q_q14_promo_effect,
-        "q6_forecast_revenue": q_q6_forecast_revenue,
-        "q7_volume_shipping": q_q7_volume_shipping,
-        "q8_market_share": q_q8_market_share,
-        "q15_top_supplier": q_q15_top_supplier,
-        "q21_waiting_suppliers": q_q21_waiting_suppliers,
-        "kl_source_divergence_docs": q_kl_source_divergence_docs,
-        "length_band_docs": q_length_band_docs,
-        "bpe_train_docs": q_bpe_train_docs,
-        "audio_loudnorm_clips": q_audio_loudnorm_clips,
-        "q2_min_cost_supplier": q_q2_min_cost_supplier,
-        "q9_product_profit": q_q9_product_profit,
-        "q11_important_parts": q_q11_important_parts,
-        "q16_supplier_part_counts": q_q16_supplier_part_counts,
-        "q20_promotion_suppliers": q_q20_promotion_suppliers,
-        "substring_dup_docs": q_substring_dup_docs,
-        "fingerprint_lookup_clips": q_fingerprint_lookup_clips,
-        "bloom_pointlookup_lineitem": q_bloom_pointlookup_lineitem,
-        "filter_cascade_docs": q_filter_cascade_docs,
-        "grouped_split_docs": q_grouped_split_docs,
-        "merge_orders_cdc": q_merge_orders_cdc,
-    }
-
-
-def build_oracles(sf_dir: str = "/root/testdata/sf0.01") -> dict:
-    """Oracle SQL per query. The driver calls this with no argument and
-    compares at sf0.01 (driver contract); the clips-family oracles read a
-    deterministic /tmp cache derived from that sf_dir, so sweeps at other
-    scales (scripts/sweep_queries.py) pass the matching sf_dir instead."""
-    sql = {
-        "q1_pricing_summary": _Q1_SQL,
-        "zorder_pruning_lineitem": _ZORDER_PRUNING_SQL,
-        "top_orders": _TOP_ORDERS_SQL,
-        "customers_per_region": _CUSTOMERS_PER_REGION_SQL,
-        "referential_lineitem_orders": _REFERENTIAL_SQL,
-        "events_by_type": _EVENTS_SQL,
-        "uniqueness_orders": _UNIQUENESS_ORDERS_SQL,
-        "profile_lineitem": _PROFILE_LINEITEM_SQL,
-        "orders_by_segment": _ORDERS_BY_SEGMENT_SQL,
-        "events_tumbling_hour": _EVENTS_TUMBLING_SQL,
-        "events_sessions": _EVENTS_SESSIONS_SQL,
-        "events_asof_click_view": _EVENTS_ASOF_SQL,
-        "events_value_bands": _value_bands_sql(),
-        "orders_top3_per_priority": _ORDERS_TOP3_SQL,
-        "validate_events_props": _EVENTS_PROPS_SQL,
-        "events_hopping_30m": _EVENTS_HOPPING_SQL,
-        "distinct_counts_lineitem": _DISTINCT_COUNTS_SQL,
-        "split_docs": _SPLIT_DOCS_SQL,
-        "stratified_sample_events": _STRATIFIED_SQL,
-        "orders_broadcast_enrich": _priority_dim_sql(),
-        "uniqueness_lineitem_composite": _UNIQUENESS_COMPOSITE_SQL,
-        "events_skew_join_auto": _event_type_dim_sql(),
-        "events_user_windows": _EVENTS_USER_WINDOWS_SQL,
-        "events_moving_median": _EVENTS_MOVING_MEDIAN_SQL,
-        "docs_ntile": _DOCS_NTILE_SQL,
-        "custkeys_without_orders": _CUSTKEYS_EXCEPT_SQL,
-        "referential_shuffle_lineitem": _REFERENTIAL_SHUFFLE_SQL,
-        "events_pivot_hour_bands": _pivot_hour_bands_sql(),
-        "lineitem_median_qty": _LINEITEM_MEDIAN_SQL,
-        "docs_string_agg": _DOCS_STRING_AGG_SQL,
-        "oov_docs": _OOV_SQL,
-        "dup_clusters_docs": _DUP_CLUSTERS_SQL,
-        "dup_ngrams_docs": _DUP_NGRAMS_DOCS_SQL,
-        "segment_dedup_docs": _SEGMENT_DEDUP_DOCS_SQL,
-        "dsir_logratio_docs": _DSIR_LOGRATIO_SQL,
-        "source_quota_docs": _SOURCE_QUOTA_SQL,
-        "gopher_filter_docs": _GOPHER_FILTER_SQL,
-        "order_totals_consistency": _ORDER_TOTALS_CONSISTENCY_SQL,
-        "dedup_corpus_docs": _DEDUP_CORPUS_SQL,
-        "quantiles_lineitem": _QUANTILES_LINEITEM_SQL,
-        # round-5 conversions of rows-only queries to value oracles
-        "events_ewma_value": _EVENTS_EWMA_SQL,
-        "profile_sketches_lineitem": _PROFILE_SKETCHES_SQL,
-        "tdigest_quantiles_lineitem": _TDIGEST_QUANTILES_SQL,
-        "drift_lineitem": _DRIFT_LINEITEM_SQL,
-        "infer_spec_orders": _INFER_SPEC_ORDERS_SQL,
-        "media_frame_sample": _MEDIA_FRAME_SAMPLE_SQL,
-        "lineitem_mode_qty": _LINEITEM_MODE_SQL,
-        "grouped_distinct_lineitem": _GROUPED_DISTINCT_SQL,
-        "corr_lineitem": _CORR_LINEITEM_SQL,
-        "rollup_lineitem": _ROLLUP_LINEITEM_SQL,
-        "unigram_logprob_docs": _UNIGRAM_SQL,
-        "top_tokens_docs": _TOP_TOKENS_SQL,
-        "events_gapfill_hour": _EVENTS_GAPFILL_SQL,
-        "winsorize_lineitem": _WINSORIZE_SQL,
-        "fd_part_supplier": _FD_PART_SUPPLIER_SQL,
-        "tfidf_docs": _TFIDF_SQL,
-        "funnel_click_purchase": _FUNNEL_SQL,
-        "retention_weekly": _RETENTION_SQL,
-        "interval_join_events": _INTERVAL_JOIN_SQL,
-        "chunk_docs": _CHUNK_DOCS_SQL,
-        "zscore_lineitem": _ZSCORE_SQL,
-        "iqr_filter_lineitem": _IQR_FILTER_SQL,
-        "grouped_p90_lineitem": _GROUPED_P90_SQL,
-        "mixture_docs": _MIXTURE_SQL,
-        "percent_rank_lineitem": _PERCENT_RANK_SQL,
-        "event_bigrams": _EVENT_BIGRAMS_SQL,
-        "embedding_dup_clusters": _EMBEDDING_DUP_CLUSTERS_SQL,
-        "validate_orders": f"SELECT o_orderkey, {_ORDERS_VALID_SQL} AS valid "
-                           "FROM orders",
-        "validate_lineitem": "SELECT l_orderkey, l_linenumber, "
-                             f"{_LINEITEM_VALID_SQL} AS valid FROM lineitem",
-        "orders_violation_counts": _ORDERS_VIOLATION_COUNTS_SQL,
-        "skew_lineitem": _SKEW_LINEITEM_SQL,
-        "histogram_lineitem": _HISTOGRAM_LINEITEM_SQL,
-        "q3_shipping": _Q3_SHIPPING_SQL,
-        "dedup_docs_exact": _DEDUP_DOCS_SQL,
-        "dup_groups_prefix24": _DUP_GROUPS_SQL,
-        "ngram_jaccard_docs": _NGRAM_JACCARD_SQL,
-        "token_count_docs": _TOKEN_COUNT_SQL,
-        "bpe_token_count_docs": _BPE_TOKEN_COUNT_SQL,
-        "quality_docs": _QUALITY_SQL,
-        "lang_id_docs": _lang_id_sql(),
-        "fingerprint_docs": _FINGERPRINT_SQL,
-        "normalize_docs": _NORMALIZE_SQL,
-        "repetition_docs": _REPETITION_SQL,
-        "lexdiv_docs": _LEXDIV_SQL,
-        "pii_docs": _pii_sql(),
-        "contamination_docs": _contamination_sql(),
-        "shuffle_docs": _SHUFFLE_SQL,
-        "weighted_topk_docs": _WEIGHTED_TOPK_SQL,
-        "pack_docs": _PACK_SQL,
-        "snapshot_diff_orders": _SNAPSHOT_DIFF_SQL,
-        "incremental_validate_orders": _INCR_VALIDATE_SQL,
-        "repair_orders": _REPAIR_ORDERS_SQL,
-        "drift_daily_events": _DRIFT_DAILY_SQL,
-        "drift_psi_bins_lineitem": _DRIFT_PSI_SQL,
-        "events_lag_delta": _EVENTS_LAG_DELTA_SQL,
-        "events_throttle": _EVENTS_THROTTLE_SQL,
-        "q5_nation_revenue": _Q5_NATION_REVENUE_SQL,
-        "q10_returned_revenue": _Q10_RETURNED_REVENUE_SQL,
-        "repeat_customers": _REPEAT_CUSTOMERS_SQL,
-        "q13_order_distribution": _Q13_ORDER_DISTRIBUTION_SQL,
-        "q18_large_orders": _Q18_LARGE_ORDERS_SQL,
-        "weighted_sample_docs": _WEIGHTED_SAMPLE_SQL,
-        "copurchase_parts": _COPURCHASE_PARTS_SQL,
-        "weighted_avg_lineitem": _WEIGHTED_AVG_SQL,
-        "mad_lineitem": _MAD_LINEITEM_SQL,
-        "user_entropy_events": _USER_ENTROPY_SQL,
-        "centroids_embeddings": _CENTROIDS_SQL,
-        "customer_spend_deciles": _SPEND_DECILES_SQL,
-        "big_spenders": _BIG_SPENDERS_SQL,
-        "brand_share": _BRAND_SHARE_SQL,
-        "weekly_revenue_wow": _WEEKLY_WOW_SQL,
-        "gini_spend": _GINI_SPEND_SQL,
-        "ship_latency_by_priority": _SHIP_LATENCY_SQL,
-        "latest_event_per_user_type": _LATEST_EVENT_SQL,
-        "events_rle_compress": _EVENTS_RLE_SQL,
-        "top_event_by_value_per_user": _TOP_EVENT_SQL,
-        "docs_percentrank_by_source": _DOCS_PCTRANK_SQL,
-        "lineitem_unpivot": _LINEITEM_UNPIVOT_SQL,
-        "events_conditional_agg": _EVENTS_COND_AGG_SQL,
-        "revenue_trend_theilsen": _THEILSEN_SQL,
-        "null_profile_lineitem": _null_profile_sql(),
-        "events_rolling_stats": _EVENTS_ROLLING_STATS_SQL,
-        "weekly_hhi_by_segment": _WEEKLY_HHI_SQL,
-        "wau_rolling_7d": _WAU_ROLLING_SQL,
-        "chi2_event_weekday": _CHI2_SQL,
-        "heavy_hitter_parts": _HEAVY_HITTER_PARTS_SQL,
-        "regr_slope_lineitem": _REGR_SLOPE_SQL,
-        "orders_with_high_discount": _ORDERS_HIGH_DISCOUNT_SQL,
-        "parts_all_low_discount": _PARTS_ALL_LOW_DISCOUNT_SQL,
-        "q4_late_orders": _Q4_LATE_ORDERS_SQL,
-        "q14_promo_share": _Q14_PROMO_SHARE_SQL,
-        "q17_small_qty_revenue": _Q17_SMALL_QTY_SQL,
-        "q12_shipping_delay_bands": _Q12_DELAY_SQL,
-        "q19_disjunctive_revenue": _Q19_DISJUNCTIVE_SQL,
-        "q22_idle_rich_customers": _Q22_IDLE_RICH_SQL,
-        "covar_lineitem": _COVAR_SQL,
-        "customer_cume_dist": _CUME_DIST_SQL,
-        "dense_rank_brands": _DENSE_RANK_BRANDS_SQL,
-        "cube_lineitem": _CUBE_LINEITEM_SQL,
-        "percentile_cont_lineitem": _PERCENTILE_CONT_SQL,
-        "events_lead_delta": _EVENTS_LEAD_DELTA_SQL,
-        "supplier_balance_by_region": _SUPPLIER_BALANCE_REGION_SQL,
-        "partkeys_union": _PARTKEYS_UNION_SQL,
-        "first_event_per_user": _FIRST_EVENT_SQL,
-        "props_k_stats": _PROPS_K_STATS_SQL,
-        "customer_order_gap_median": _CUSTOMER_ORDER_GAP_SQL,
-        "events_dow_hour_heatmap": _EVENTS_DOW_HOUR_SQL,
-        "part_color_counts": _PART_COLOR_SQL,
-        "priority_label_counts": _PRIORITY_LABEL_SQL,
-        "quarterly_revenue": _QUARTERLY_REVENUE_SQL,
-        "embedding_component_stats": _EMBEDDING_COMPONENT_SQL,
-        "spearman_lineitem": _SPEARMAN_SQL,
-        "session_duration_stats": _SESSION_DURATION_SQL,
-        "weighted_median_qty": _WEIGHTED_MEDIAN_SQL,
-        "order_line_coverage": _ORDER_LINE_COVERAGE_SQL,
-        "orders_above_segment_avg": _ORDERS_ABOVE_SEG_AVG_SQL,
-        "user_twap_value": _USER_TWAP_SQL,
-        "events_ohlc_hourly": _EVENTS_OHLC_SQL,
-        "user_growth_daily": _USER_GROWTH_SQL,
-        "grouping_sets_lineitem": _GROUPING_SETS_SQL,
-        "trimmed_mean_qty": _TRIMMED_MEAN_SQL,
-        "orders_1997_high_value": _ORDERS_1997_SQL,
-        "join_skew_profile": _JOIN_SKEW_SQL,
-        "events_type_share_daily": _EVENTS_TYPE_SHARE_SQL,
-        "corr_matrix_lineitem": _CORR_MATRIX_SQL,
-        "mutual_info_flag_status": _MUTUAL_INFO_SQL,
-        "ann_topk": _ANN_TOPK_SQL,
-        "ann_topk_ivf": _ANN_TOPK_SQL,
-        "ann_topk_ivf_persisted": _ANN_TOPK_SQL,
-        "ann_topk_pq": _ANN_TOPK_SQL,
-        "ann_topk_ivfpq": _ANN_TOPK_SQL,
-        "embedding_neardup": _EMBEDDING_NEARDUP_SQL,
-        # flagship clips oracles read the deterministic /tmp cache; the
-        # driver runs side-by-side correctness at sf0.01 (driver contract),
-        # which is the scale these strings are derived for
-        "clips_validation": _clips_validation_sql(sf_dir),
-        "speaking_rate_clips": _speaking_rate_sql(sf_dir),
-        "audio_chunk_clips": _audio_chunk_sql(sf_dir),
-        "events_user_streaks": _USER_STREAKS_SQL,
-        "events_markov_transitions": _MARKOV_SQL,
-        "cohort_retention_matrix": _COHORT_MATRIX_SQL,
-        "parts_skyline": _PARTS_SKYLINE_SQL,
-        "lineitem_benford": _BENFORD_SQL,
-        "lineitem_key_gaps": _LINEITEM_KEY_GAPS_SQL,
-        "copurchase_triangles": _TRIANGLES_SQL,
-        "supplier_busy_windows": _BUSY_WINDOWS_SQL,
-        "trending_parts_decay": _TRENDING_SQL,
-        "frequent_values_lineitem": _FREQUENT_VALUES_SQL,
-        "audio_transcode_clips":
-            _audio_transcode_sql(sf_dir),
-        "events_session_paths": _SESSION_PATHS_SQL,
-        "scd2_orders_history": _SCD2_SQL,
-        "codec_sniff_clips": _codec_sniff_sql(sf_dir),
-        "kmeans_embeddings": _kmeans_embeddings_sql(sf_dir),
-        "clips_decode": _clips_decode_sql(sf_dir),
-        "audio_resample_vad_clips": _audio_resample_vad_sql(sf_dir),
-        "audio_mel_clips": _audio_mel_sql(sf_dir),
-        "audio_specaugment_clips": _audio_specaugment_sql(sf_dir),
-        "audio_trim_clips": _audio_trim_sql(sf_dir),
-        "audio_denoise_clips": _audio_denoise_sql(sf_dir),
-        "audio_prep_segments": _audio_prep_segments_sql(sf_dir),
-        "audio_cmvn_clips": _audio_cmvn_sql(sf_dir),
-        "audio_features_clips": _audio_features_sql(sf_dir),
-        "audio_qc_clips": _audio_qc_sql(sf_dir),
-        "media_image_features": _MEDIA_IMAGE_FEATURES_SQL,
-        "copurchase_pagerank": _copurchase_pagerank_sql(),
-        "copurchase_pagerank_resident": _copurchase_pagerank_sql(),
-        "cluster_balanced_sample": _cluster_balanced_sample_sql(sf_dir),
-        "bigram_logprob_docs": _BIGRAM_SQL,
-        "zipf_fit_docs": _ZIPF_SQL,
-        "ann_topk_ivf_appended": _ANN_TOPK_SQL,
-        "audio_pitchshift_clips":
-            _audio_pitchshift_sql(sf_dir),
-        "customer_rfm": _RFM_SQL,
-        "pareto_parts_revenue": _PARETO_SQL,
-        "q3_shipping_priority": _Q3_SHIPPING_PRIORITY_SQL,
-        "q4_order_priority": _Q4_PRIORITY_SQL,
-        "q13_customer_distribution": _Q13_CUSTDIST_SQL,
-        "q14_promo_effect": _Q14_PROMO_SQL,
-        "q6_forecast_revenue": _Q6_FORECAST_SQL,
-        "q7_volume_shipping": _Q7_VOLUME_SHIPPING_SQL,
-        "q8_market_share": _Q8_MARKET_SHARE_SQL,
-        "q15_top_supplier": _Q15_TOP_SUPPLIER_SQL,
-        "q21_waiting_suppliers": _Q21_WAITING_SQL,
-        "kl_source_divergence_docs": _KL_SOURCE_SQL,
-        "length_band_docs": _LENGTH_BAND_SQL,
-        "editdist_clips": _editdist_clips_sql(sf_dir),
-        "clips_violation_counts":
-            _clips_violation_counts_sql(sf_dir),
-        "grouped_stats_codec":
-            _grouped_stats_codec_sql(sf_dir),
-        "q2_min_cost_supplier": _Q2_MIN_COST_SQL,
-        "q9_product_profit": _Q9_PRODUCT_PROFIT_SQL,
-        "q11_important_parts": _Q11_IMPORTANT_PARTS_SQL,
-        "q16_supplier_part_counts": _Q16_SUPPLIER_COUNTS_SQL,
-        "q20_promotion_suppliers": _Q20_PROMOTION_SQL,
-        "substring_dup_docs": _SUBSTRING_DUP_SQL,
-        "bloom_pointlookup_lineitem": _BLOOM_POINTLOOKUP_SQL,
-        "filter_cascade_docs": _FILTER_CASCADE_SQL,
-        "grouped_split_docs": _GROUPED_SPLIT_SQL,
-        "merge_orders_cdc": _MERGE_ORDERS_CDC_SQL,
-    }
-    return sql
+q_oov_docs.oracle = _OOV_SQL
 
 
 def q_events_lag_delta(sf_dir):
@@ -5270,6 +4919,7 @@ SELECT user_id, event_id,
 FROM events
 WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
 """
+q_events_lag_delta.oracle = _EVENTS_LAG_DELTA_SQL
 
 
 def q_events_throttle(sf_dir):
@@ -5298,6 +4948,7 @@ SELECT user_id, event_id, gap_us
 FROM w
 WHERE gap_us IS NULL OR gap_us >= 21600000000
 """
+q_events_throttle.oracle = _EVENTS_THROTTLE_SQL
 
 
 def q_q5_nation_revenue(sf_dir):
@@ -5412,6 +5063,7 @@ WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
 GROUP BY n_name
 ORDER BY revenue_e2 DESC
 """
+q_q5_nation_revenue.oracle = _Q5_NATION_REVENUE_SQL
 
 
 def q_q10_returned_revenue(sf_dir):
@@ -5507,6 +5159,7 @@ JOIN nation ON n_nationkey = c_nationkey
 ORDER BY revenue_e2 DESC, c_custkey ASC
 LIMIT 20
 """
+q_q10_returned_revenue.oracle = _Q10_RETURNED_REVENUE_SQL
 
 
 def q_repeat_customers(sf_dir):
@@ -5546,6 +5199,7 @@ SELECT o_custkey FROM orders
 WHERE o_orderdate >= TIMESTAMP '1997-01-01'
   AND o_orderdate < TIMESTAMP '1998-01-01'
 """
+q_repeat_customers.oracle = _REPEAT_CUSTOMERS_SQL
 
 
 def q_q13_order_distribution(sf_dir):
@@ -5597,6 +5251,7 @@ SELECT CAST(c_count AS BIGINT) AS c_count,
 FROM per_cust
 GROUP BY c_count
 """
+q_q13_order_distribution.oracle = _Q13_ORDER_DISTRIBUTION_SQL
 
 
 def q_q18_large_orders(sf_dir):
@@ -5645,6 +5300,7 @@ FROM lineitem JOIN orders ON o_orderkey = l_orderkey
 GROUP BY l_orderkey
 HAVING sum(CAST(round(l_quantity * 100) AS BIGINT)) > 20000
 """
+q_q18_large_orders.oracle = _Q18_LARGE_ORDERS_SQL
 
 
 def q_weighted_sample_docs(sf_dir):
@@ -5674,6 +5330,7 @@ WITH t AS (
   FROM documents)
 SELECT doc_id, n_tokens FROM t WHERE u * 150.0 < n_tokens
 """
+q_weighted_sample_docs.oracle = _WEIGHTED_SAMPLE_SQL
 
 
 def q_copurchase_parts(sf_dir):
@@ -5697,6 +5354,7 @@ FROM d a JOIN d b
 GROUP BY 1, 2
 HAVING count(*) >= 2
 """
+q_copurchase_parts.oracle = _COPURCHASE_PARTS_SQL
 
 
 def q_weighted_avg_lineitem(sf_dir):
@@ -5726,6 +5384,7 @@ SELECT l_returnflag,
 FROM t
 GROUP BY l_returnflag
 """
+q_weighted_avg_lineitem.oracle = _WEIGHTED_AVG_SQL
 
 
 def q_mad_lineitem(sf_dir):
@@ -5749,6 +5408,7 @@ SELECT m.l_returnflag, med AS median,
 FROM lineitem l JOIN m ON l.l_returnflag = m.l_returnflag
 GROUP BY m.l_returnflag, med
 """
+q_mad_lineitem.oracle = _MAD_LINEITEM_SQL
 
 
 def q_user_entropy_events(sf_dir):
@@ -5775,6 +5435,7 @@ SELECT c.user_id,
 FROM c JOIN t ON c.user_id = t.user_id
 GROUP BY c.user_id
 """
+q_user_entropy_events.oracle = _USER_ENTROPY_SQL
 
 
 def q_centroids_embeddings(sf_dir):
@@ -5797,6 +5458,7 @@ FROM (SELECT label,
       FROM embeddings)
 GROUP BY label, i
 """
+q_centroids_embeddings.oracle = _CENTROIDS_SQL
 
 
 def _customer_spend(sf_dir):
@@ -5858,6 +5520,7 @@ SELECT o_custkey, spend_e2,
          AS tile
 FROM s
 """
+q_customer_spend_deciles.oracle = _SPEND_DECILES_SQL
 
 
 def q_big_spenders(sf_dir):
@@ -5890,6 +5553,7 @@ t AS (SELECT CAST(sum(spend_e2) AS BIGINT) AS tot,
              count(*) AS n FROM s)
 SELECT o_custkey, spend_e2 FROM s, t WHERE spend_e2 * n > 2 * tot
 """
+q_big_spenders.oracle = _BIG_SPENDERS_SQL
 
 
 def q_brand_share(sf_dir):
@@ -5965,6 +5629,7 @@ SELECT p_type, p_brand, brand_rev_e2,
                     AS DOUBLE), 6) AS share
 FROM b
 """
+q_brand_share.oracle = _BRAND_SHARE_SQL
 
 
 def q_weekly_revenue_wow(sf_dir):
@@ -6013,6 +5678,7 @@ SELECT CAST(wk AS TIMESTAMP) AS wk, rev_e2,
              / CAST(lag(rev_e2) OVER (ORDER BY wk) AS DOUBLE), 6) AS wow
 FROM w
 """
+q_weekly_revenue_wow.oracle = _WEEKLY_WOW_SQL
 
 
 def q_gini_spend(sf_dir):
@@ -6063,6 +5729,7 @@ SELECT count(*) AS n, CAST(sum(spend_e2) AS BIGINT) AS sum_e2,
              - (count(*) + 1.0) / count(*), 6) AS gini
 FROM r
 """
+q_gini_spend.oracle = _GINI_SPEND_SQL
 
 
 def q_ship_latency_by_priority(sf_dir):
@@ -6118,6 +5785,7 @@ FROM (SELECT o_orderpriority,
       FROM lineitem JOIN orders ON o_orderkey = l_orderkey)
 GROUP BY o_orderpriority
 """
+q_ship_latency_by_priority.oracle = _SHIP_LATENCY_SQL
 
 
 def q_latest_event_per_user_type(sf_dir):
@@ -6140,6 +5808,7 @@ FROM events
 QUALIFY row_number() OVER (PARTITION BY user_id, event_type
                            ORDER BY ts DESC, event_id DESC) = 1
 """
+q_latest_event_per_user_type.oracle = _LATEST_EVENT_SQL
 
 
 def q_events_rle_compress(sf_dir):
@@ -6162,6 +5831,7 @@ FROM (SELECT user_id, ts, event_id, event_type,
       FROM events)
 WHERE prev IS NULL OR event_type <> prev
 """
+q_events_rle_compress.oracle = _EVENTS_RLE_SQL
 
 
 def q_top_event_by_value_per_user(sf_dir):
@@ -6183,6 +5853,7 @@ FROM events
 QUALIFY row_number() OVER (PARTITION BY user_id
                            ORDER BY value DESC, event_id DESC) = 1
 """
+q_top_event_by_value_per_user.oracle = _TOP_EVENT_SQL
 
 
 def q_docs_percentrank_by_source(sf_dir):
@@ -6205,6 +5876,7 @@ SELECT source, doc_id, n_chars,
 FROM documents
 WINDOW w AS (PARTITION BY source ORDER BY n_chars, doc_id)
 """
+q_docs_percentrank_by_source.oracle = _DOCS_PCTRANK_SQL
 
 
 def q_lineitem_unpivot(sf_dir):
@@ -6246,6 +5918,7 @@ UNION ALL
 SELECT l_orderkey, l_linenumber, 'discount',
        CAST(round(l_discount * 100) AS BIGINT) FROM lineitem
 """
+q_lineitem_unpivot.oracle = _LINEITEM_UNPIVOT_SQL
 
 
 def q_events_conditional_agg(sf_dir):
@@ -6295,6 +5968,7 @@ SELECT event_type,
 FROM events
 GROUP BY event_type
 """
+q_events_conditional_agg.oracle = _EVENTS_COND_AGG_SQL
 
 
 def q_revenue_trend_theilsen(sf_dir):
@@ -6345,6 +6019,7 @@ SELECT (SELECT count(*) FROM w) AS n_weeks,
        round(median(slope), 4) AS theil_sen
 FROM p
 """
+q_revenue_trend_theilsen.oracle = _THEILSEN_SQL
 
 
 def q_null_profile_lineitem(sf_dir):
@@ -6395,6 +6070,9 @@ def _null_profile_sql():
     return "\nUNION ALL\n".join(parts)
 
 
+q_null_profile_lineitem.oracle = _null_profile_sql()
+
+
 def q_events_rolling_stats(sf_dir):
     """Per-user trailing 5-row rolling mean + sample stddev — the
     anomaly-score inputs (x - mean)/std computed as a windowed scan.
@@ -6416,6 +6094,7 @@ FROM events
 WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id
              ROWS BETWEEN 4 PRECEDING AND CURRENT ROW)
 """
+q_events_rolling_stats.oracle = _EVENTS_ROLLING_STATS_SQL
 
 
 def q_weekly_hhi_by_segment(sf_dir):
@@ -6478,6 +6157,7 @@ SELECT CAST(wk AS TIMESTAMP) AS wk,
 FROM t
 GROUP BY wk
 """
+q_weekly_hhi_by_segment.oracle = _WEEKLY_HHI_SQL
 
 
 def q_wau_rolling_7d(sf_dir):
@@ -6539,6 +6219,7 @@ FROM days JOIN du
   ON du.d > days.d - INTERVAL 7 DAY AND du.d <= days.d
 GROUP BY days.d
 """
+q_wau_rolling_7d.oracle = _WAU_ROLLING_SQL
 
 
 def q_chi2_event_weekday(sf_dir):
@@ -6599,6 +6280,7 @@ SELECT CAST(any_value(tot) AS BIGINT) AS n,
                  / (row_n * col_n / CAST(tot AS DOUBLE))), 4) AS chi2
 FROM m
 """
+q_chi2_event_weekday.oracle = _CHI2_SQL
 
 
 def q_heavy_hitter_parts(sf_dir):
@@ -6620,6 +6302,7 @@ WITH c AS (
 t AS (SELECT CAST(sum(n) AS BIGINT) AS tot FROM c)
 SELECT l_partkey, n FROM c, t WHERE n * 1500 > tot * 1
 """
+q_heavy_hitter_parts.oracle = _HEAVY_HITTER_PARTS_SQL
 
 
 def q_regr_slope_lineitem(sf_dir):
@@ -6704,6 +6387,7 @@ SELECT l_returnflag, n,
          AS intercept
 FROM m
 """
+q_regr_slope_lineitem.oracle = _REGR_SLOPE_SQL
 
 
 def q_orders_with_high_discount(sf_dir):
@@ -6761,6 +6445,7 @@ FROM orders
 WHERE EXISTS (SELECT 1 FROM lineitem
               WHERE l_orderkey = o_orderkey AND l_discount >= 0.08)
 """
+q_orders_with_high_discount.oracle = _ORDERS_HIGH_DISCOUNT_SQL
 
 
 def q_parts_all_low_discount(sf_dir):
@@ -6802,6 +6487,7 @@ FROM lineitem
 GROUP BY l_partkey
 HAVING max(CAST(round(l_discount * 100) AS BIGINT)) < 9
 """
+q_parts_all_low_discount.oracle = _PARTS_ALL_LOW_DISCOUNT_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -6871,6 +6557,7 @@ JOIN (SELECT l_orderkey, max(l_shipdate) AS ms
 WHERE ms > o_orderdate + INTERVAL 30 DAY
 GROUP BY 1
 """
+q_q4_late_orders.oracle = _Q4_LATE_ORDERS_SQL
 
 
 def q_q14_promo_share(sf_dir):
@@ -6936,6 +6623,7 @@ SELECT CAST(sum(CASE WHEN pm THEN rev ELSE 0 END) AS BIGINT)
          / CAST(sum(rev) AS DOUBLE) AS promo_share
 FROM r
 """
+q_q14_promo_share.oracle = _Q14_PROMO_SHARE_SQL
 
 
 def q_q17_small_qty_revenue(sf_dir):
@@ -7024,6 +6712,7 @@ SELECT CAST(sum(price_e2) AS BIGINT) AS sum_price_e2,
 FROM li13 JOIN m USING (l_partkey)
 WHERE 5 * qty * n < sq
 """
+q_q17_small_qty_revenue.oracle = _Q17_SMALL_QTY_SQL
 
 
 def q_q19_disjunctive_revenue(sf_dir):
@@ -7114,6 +6803,7 @@ FROM j JOIN b ON p_type = branch
   AND p_size BETWEEN s_lo AND s_hi AND qty BETWEEN q_lo AND q_hi
 GROUP BY 1
 """
+q_q19_disjunctive_revenue.oracle = _Q19_DISJUNCTIVE_SQL
 
 
 def q_q22_idle_rich_customers(sf_dir):
@@ -7211,6 +6901,7 @@ WHERE bal_e2 * n_pos > sum_pos
                     AND o_orderdate >= TIMESTAMP '2000-01-01')
 GROUP BY 1
 """
+q_q22_idle_rich_customers.oracle = _Q22_IDLE_RICH_SQL
 
 
 def q_covar_lineitem(sf_dir):
@@ -7286,6 +6977,7 @@ SELECT l_returnflag, n,
              / CAST(n - 1 AS DOUBLE) / 1e4, 4) AS covar_samp
 FROM m
 """
+q_covar_lineitem.oracle = _COVAR_SQL
 
 
 def q_customer_cume_dist(sf_dir):
@@ -7318,6 +7010,7 @@ SELECT c_mktsegment, c_custkey,
          AS cd
 FROM customer
 """
+q_customer_cume_dist.oracle = _CUME_DIST_SQL
 
 
 def q_dense_rank_brands(sf_dir):
@@ -7388,6 +7081,7 @@ r AS (
   FROM a)
 SELECT p_type, p_brand, rev_e4, rnk FROM r WHERE rnk <= 3
 """
+q_dense_rank_brands.oracle = _DENSE_RANK_BRANDS_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -7420,6 +7114,7 @@ WHERE l_returnflag IS NOT NULL AND l_linestatus IS NOT NULL
   AND l_quantity IS NOT NULL
 GROUP BY CUBE(l_returnflag, l_linestatus)
 """
+q_cube_lineitem.oracle = _CUBE_LINEITEM_SQL
 
 
 def q_percentile_cont_lineitem(sf_dir):
@@ -7451,6 +7146,7 @@ SELECT l_returnflag,
 FROM lineitem
 GROUP BY 1
 """
+q_percentile_cont_lineitem.oracle = _PERCENTILE_CONT_SQL
 
 
 def q_events_lead_delta(sf_dir):
@@ -7472,6 +7168,7 @@ SELECT user_id, event_id,
 FROM events
 WINDOW w AS (PARTITION BY user_id ORDER BY ts, event_id)
 """
+q_events_lead_delta.oracle = _EVENTS_LEAD_DELTA_SQL
 
 
 def q_supplier_balance_by_region(sf_dir):
@@ -7531,6 +7228,7 @@ JOIN nation ON n_nationkey = s_nationkey
 JOIN region ON r_regionkey = n_regionkey
 GROUP BY 1
 """
+q_supplier_balance_by_region.oracle = _SUPPLIER_BALANCE_REGION_SQL
 
 
 def q_partkeys_union(sf_dir):
@@ -7553,6 +7251,7 @@ SELECT p_partkey AS key FROM part
 UNION
 SELECT l_partkey AS key FROM lineitem
 """
+q_partkeys_union.oracle = _PARTKEYS_UNION_SQL
 
 
 def q_first_event_per_user(sf_dir):
@@ -7574,6 +7273,7 @@ FROM events
 QUALIFY row_number() OVER (PARTITION BY user_id
                            ORDER BY ts ASC, event_id ASC) = 1
 """
+q_first_event_per_user.oracle = _FIRST_EVENT_SQL
 
 
 def q_props_k_stats(sf_dir):
@@ -7619,6 +7319,7 @@ SELECT event_type, CAST(count(*) AS BIGINT) AS n,
 FROM events
 GROUP BY 1
 """
+q_props_k_stats.oracle = _PROPS_K_STATS_SQL
 
 
 def q_customer_order_gap_median(sf_dir):
@@ -7667,6 +7368,7 @@ SELECT o_custkey, CAST(count(gap) AS BIGINT) AS n_gaps,
 FROM g WHERE gap IS NOT NULL
 GROUP BY 1
 """
+q_customer_order_gap_median.oracle = _CUSTOMER_ORDER_GAP_SQL
 
 
 def q_events_dow_hour_heatmap(sf_dir):
@@ -7708,6 +7410,7 @@ SELECT CAST(dayofweek(ts) AS BIGINT) AS dow,
 FROM events
 GROUP BY 1, 2
 """
+q_events_dow_hour_heatmap.oracle = _EVENTS_DOW_HOUR_SQL
 
 
 def q_part_color_counts(sf_dir):
@@ -7735,6 +7438,7 @@ SELECT split_part(p_name, ' ', 1) AS color,
 FROM part
 GROUP BY 1
 """
+q_part_color_counts.oracle = _PART_COLOR_SQL
 
 
 def q_priority_label_counts(sf_dir):
@@ -7776,6 +7480,7 @@ SELECT CAST(split_part(o_orderpriority, '-', 1) AS BIGINT) AS prio_num,
 FROM orders
 GROUP BY 1, 2
 """
+q_priority_label_counts.oracle = _PRIORITY_LABEL_SQL
 
 
 def q_quarterly_revenue(sf_dir):
@@ -7822,6 +7527,7 @@ SELECT date_trunc('quarter', o_orderdate) AS quarter,
 FROM orders
 GROUP BY 1
 """
+q_quarterly_revenue.oracle = _QUARTERLY_REVENUE_SQL
 
 
 def q_embedding_component_stats(sf_dir):
@@ -7880,6 +7586,7 @@ SELECT label, CAST(count(*) AS BIGINT) AS n,
        CAST(sum(csum_e6) AS BIGINT) AS sum_csum_e6
 FROM r GROUP BY 1
 """
+q_embedding_component_stats.oracle = _EMBEDDING_COMPONENT_SQL
 
 
 def q_spearman_lineitem(sf_dir):
@@ -7936,6 +7643,7 @@ SELECT l_returnflag, n,
          AS rho
 FROM m
 """
+q_spearman_lineitem.oracle = _SPEARMAN_SQL
 
 
 def q_session_duration_stats(sf_dir):
@@ -7970,6 +7678,7 @@ SELECT user_id, CAST(session_idx AS BIGINT) AS session_idx,
 FROM sess
 GROUP BY 1, 2
 """
+q_session_duration_stats.oracle = _SESSION_DURATION_SQL
 
 
 def q_weighted_median_qty(sf_dir):
@@ -8015,6 +7724,7 @@ SELECT l_returnflag, CAST(min(v) AS BIGINT) AS wmedian,
 FROM cw WHERE 2 * cum >= total
 GROUP BY 1
 """
+q_weighted_median_qty.oracle = _WEIGHTED_MEDIAN_SQL
 
 
 def q_order_line_coverage(sf_dir):
@@ -8061,6 +7771,7 @@ FULL JOIN (SELECT l_orderkey, CAST(count(*) AS BIGINT) AS n
            FROM lineitem GROUP BY 1) c
   ON o.o_orderkey = c.l_orderkey
 """
+q_order_line_coverage.oracle = _ORDER_LINE_COVERAGE_SQL
 
 
 def q_orders_above_segment_avg(sf_dir):
@@ -8140,6 +7851,7 @@ SELECT o_orderkey, c_mktsegment, price_e2
 FROM j JOIN g USING (c_mktsegment)
 WHERE price_e2 * n > s
 """
+q_orders_above_segment_avg.oracle = _ORDERS_ABOVE_SEG_AVG_SQL
 
 
 def q_user_twap_value(sf_dir):
@@ -8192,6 +7904,7 @@ SELECT user_id, CAST(count(w) AS BIGINT) AS n_segments,
 FROM g WHERE w IS NOT NULL
 GROUP BY 1
 """
+q_user_twap_value.oracle = _USER_TWAP_SQL
 
 
 def q_events_ohlc_hourly(sf_dir):
@@ -8271,6 +7984,7 @@ SELECT event_type, hour_us, CAST(count(*) AS BIGINT) AS n,
        CAST(min(close_c) AS BIGINT) AS close_c
 FROM b GROUP BY 1, 2
 """
+q_events_ohlc_hourly.oracle = _EVENTS_OHLC_SQL
 
 
 def q_user_growth_daily(sf_dir):
@@ -8326,6 +8040,7 @@ SELECT day_us, n_new,
          AS cum_users
 FROM d
 """
+q_user_growth_daily.oracle = _USER_GROWTH_SQL
 
 
 def q_grouping_sets_lineitem(sf_dir):
@@ -8355,6 +8070,7 @@ WHERE l_returnflag IS NOT NULL AND l_linestatus IS NOT NULL
   AND l_quantity IS NOT NULL
 GROUP BY GROUPING SETS ((l_returnflag), (l_linestatus))
 """
+q_grouping_sets_lineitem.oracle = _GROUPING_SETS_SQL
 
 
 def q_trimmed_mean_qty(sf_dir):
@@ -8395,6 +8111,7 @@ WHERE rn > CAST(floor(0.1 * n) AS BIGINT)
   AND rn <= n - CAST(floor(0.1 * n) AS BIGINT)
 GROUP BY 1
 """
+q_trimmed_mean_qty.oracle = _TRIMMED_MEAN_SQL
 
 
 def q_orders_1997_high_value(sf_dir):
@@ -8445,6 +8162,7 @@ WHERE o_orderdate >= TIMESTAMP '1997-01-01'
   AND o_totalprice > 200000
 GROUP BY 1
 """
+q_orders_1997_high_value.oracle = _ORDERS_1997_SQL
 
 
 def q_join_skew_profile(sf_dir):
@@ -8493,6 +8211,7 @@ SELECT CAST(COALESCE(l.bucket, o.bucket) AS BIGINT) AS bucket,
        CAST(COALESCE(n_orders, 0) AS BIGINT) AS n_orders
 FROM l FULL JOIN o ON l.bucket = o.bucket
 """
+q_join_skew_profile.oracle = _JOIN_SKEW_SQL
 
 
 def q_events_type_share_daily(sf_dir):
@@ -8534,6 +8253,7 @@ SELECT CAST(epoch_us(date_trunc('day', ts)) AS BIGINT) AS day_us,
 FROM events
 GROUP BY 1, 2, date_trunc('day', ts)
 """
+q_events_type_share_daily.oracle = _EVENTS_TYPE_SHARE_SQL
 
 
 def q_embedding_pca_evr(sf_dir):
@@ -8698,6 +8418,7 @@ SELECT * FROM (
                / sqrt((n*p_disc_disc - s_disc*s_disc)
                       * (n*p_tax_tax - s_tax*s_tax)), 9) FROM m)
 """
+q_corr_matrix_lineitem.oracle = _CORR_MATRIX_SQL
 
 
 def q_mutual_info_flag_status(sf_dir):
@@ -8758,6 +8479,7 @@ SELECT
          FROM sy, tot), 9) AS h_status,
   CAST((SELECT n FROM tot) AS BIGINT) AS n
 """
+q_mutual_info_flag_status.oracle = _MUTUAL_INFO_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -8816,6 +8538,9 @@ def q_audio_qc_clips(sf_dir):
                "rms_in_band", "crest_in_band"]]
     out["n"] = out["n"].astype("int64")
     return out.sort_values(["qc_ok", "qc_pass"]).reset_index(drop=True)
+
+
+q_audio_qc_clips.oracle = _audio_qc_sql
 
 
 def q_audio_chroma_clips(sf_dir):
@@ -8997,6 +8722,9 @@ FROM per GROUP BY clip_id HAVING sum(nch) > 0
 """
 
 
+q_audio_chunk_clips.oracle = _audio_chunk_sql
+
+
 # ---------------------------------------------------------------------------
 # round-2 relational additions: gaps-and-islands, Markov transitions,
 # cohort matrix, Pareto skyline, Benford audit, key-space gaps
@@ -9030,6 +8758,7 @@ SELECT user_id, CAST(max(len) AS BIGINT) AS max_streak,
        CAST(count(*) AS BIGINT) AS n_streaks
 FROM s GROUP BY user_id
 """
+q_events_user_streaks.oracle = _USER_STREAKS_SQL
 
 
 def q_events_markov_transitions(sf_dir):
@@ -9061,6 +8790,7 @@ SELECT cur_type, next_type, CAST(n AS BIGINT) AS n,
              6) AS p
 FROM c
 """
+q_events_markov_transitions.oracle = _MARKOV_SQL
 
 
 def q_cohort_retention_matrix(sf_dir):
@@ -9089,6 +8819,7 @@ SELECT f.cohort AS cohort_unit,
 FROM d JOIN f USING (user_id)
 GROUP BY 1, 2
 """
+q_cohort_retention_matrix.oracle = _COHORT_MATRIX_SQL
 
 
 def q_parts_skyline(sf_dir):
@@ -9113,6 +8844,7 @@ WHERE NOT EXISTS (
   WHERE q.p_retailprice <= p.p_retailprice AND q.p_size >= p.p_size
     AND (q.p_retailprice < p.p_retailprice OR q.p_size > p.p_size))
 """
+q_parts_skyline.oracle = _PARTS_SKYLINE_SQL
 
 
 def q_lineitem_benford(sf_dir):
@@ -9158,6 +8890,7 @@ SELECT digit, CAST(n AS BIGINT) AS n,
        round(log10(1.0 + 1.0 / digit), 6) AS benford
 FROM c ORDER BY digit
 """
+q_lineitem_benford.oracle = _BENFORD_SQL
 
 
 def q_lineitem_key_gaps(sf_dir):
@@ -9181,6 +8914,7 @@ SELECT k + 1 AS gap_lo, nxt - 1 AS gap_hi,
        nxt - k - 1 AS gap_len
 FROM l WHERE nxt - k > 1
 """
+q_lineitem_key_gaps.oracle = _LINEITEM_KEY_GAPS_SQL
 
 
 def q_copurchase_triangles(sf_dir):
@@ -9223,6 +8957,7 @@ SELECT CAST((SELECT count(*) FROM deg) AS BIGINT) AS n_nodes,
             AS BIGINT) AS n_wedges,
        CAST((SELECT t FROM tri) AS BIGINT) AS n_triangles
 """
+q_copurchase_triangles.oracle = _TRIANGLES_SQL
 
 
 # Round-5 value oracle for PageRank (both variants): the 10-round
@@ -9318,6 +9053,10 @@ def q_copurchase_pagerank_resident(sf_dir):
     return top.reset_index(drop=True)
 
 
+q_copurchase_pagerank.oracle = q_copurchase_pagerank_resident.oracle = \
+    _copurchase_pagerank_sql()
+
+
 def q_audio_trim_clips(sf_dir):
     """Silence trimming audit (stages/analysis.py SilenceTrimmer):
     leading/trailing dead air cut, then an in-Ray aggregate of kept
@@ -9344,6 +9083,9 @@ def q_audio_trim_clips(sf_dir):
                          "mean_trimmed_ms": "float64"})
     out["mean_trimmed_ms"] = out["mean_trimmed_ms"].round(4)
     return out.sort_values("trim_ok").reset_index(drop=True)
+
+
+q_audio_trim_clips.oracle = _audio_trim_sql
 
 
 def q_audio_compress_clips(sf_dir):
@@ -9421,10 +9163,12 @@ def q_supplier_busy_windows(sf_dir):
     [shipdate, shipdate + floor(quantity) days); overlapping intervals
     merge via the segmented running-max island trick — one bucketed
     scan, one accumulate for every key in a bucket."""
-    from ..functions.windows import keyed_interval_coverage
+    from ..functions.windows import keyed_interval_coverage, resolve_buckets
 
     ds = read_table(table_path(sf_dir, "lineitem"),
                     columns=["l_suppkey", "l_shipdate", "l_quantity"])
+    # sized from the read: counting the mapped lineage would run it twice
+    buckets = resolve_buckets(ds, row_bytes=24)
 
     def to_iv(t: pa.Table) -> pa.Table:
         ts = t["l_shipdate"].to_numpy(zero_copy_only=False) \
@@ -9437,8 +9181,8 @@ def q_supplier_busy_windows(sf_dir):
 
     iv = ds.map_batches(to_iv, batch_format="pyarrow")
     out = keyed_interval_coverage(iv, key_col="l_suppkey",
-                                  lo_col="lo", hi_col="hi") \
-        .to_pandas()
+                                  lo_col="lo", hi_col="hi",
+                                  num_buckets=buckets).to_pandas()
     out = out.rename(columns={"covered": "covered_days"})
     return out.sort_values("l_suppkey").reset_index(drop=True)
 
@@ -9469,6 +9213,7 @@ SELECT l_suppkey, CAST(count(*) AS BIGINT) AS n_windows,
        CAST(sum(whi - wlo) AS BIGINT) AS covered_days
 FROM m GROUP BY l_suppkey
 """
+q_supplier_busy_windows.oracle = _BUSY_WINDOWS_SQL
 
 
 def q_trending_parts_decay(sf_dir):
@@ -9517,6 +9262,7 @@ s AS (
 SELECT l_partkey, trend FROM s
 ORDER BY trend DESC, l_partkey LIMIT 20
 """
+q_trending_parts_decay.oracle = _TRENDING_SQL
 
 
 def q_frequent_values_lineitem(sf_dir):
@@ -9569,6 +9315,7 @@ SELECT col, val, CAST(n AS BIGINT) AS n,
                                ORDER BY n DESC, val) AS BIGINT) AS rnk
 FROM c QUALIFY rnk <= 3
 """
+q_frequent_values_lineitem.oracle = _FREQUENT_VALUES_SQL
 
 
 def q_events_ewma_value(sf_dir):
@@ -9577,14 +9324,15 @@ def q_events_ewma_value(sf_dir):
     vectorized by blocked exponential rescaling. Restricted to
     user_id < 10 so the emitted smoothed series stays small. Rows-only:
     the recursion is not expressible as a single SQL window."""
-    from ..functions.windows import keyed_ewma
+    from ..functions.windows import keyed_ewma, resolve_buckets
 
     ds = read_table(table_path(sf_dir, "events"),
                     columns=["user_id", "ts", "event_id", "value"])
-    ds = ds.filter(expr="user_id < 10")
-    out = keyed_ewma(ds, key_col="user_id", ts_col="ts",
-                     tie_col="event_id", value_col="value",
-                     alpha=0.3).to_pandas()
+    # sized from the read: counting the filtered lineage would run it twice
+    buckets = resolve_buckets(ds)
+    out = keyed_ewma(ds.filter(expr="user_id < 10"), key_col="user_id",
+                     ts_col="ts", tie_col="event_id", value_col="value",
+                     alpha=0.3, num_buckets=buckets).to_pandas()
     return out.sort_values(["user_id", "event_id"]) \
         .reset_index(drop=True)
 
@@ -9610,6 +9358,7 @@ SELECT user_id, event_id,
        round(list_reduce(xs, (acc, x) -> 0.3*x + 0.7*acc), 6) AS ewma
 FROM pre
 """
+q_events_ewma_value.oracle = _EVENTS_EWMA_SQL
 
 
 def q_audio_transcode_clips(sf_dir):
@@ -9662,6 +9411,9 @@ WHERE codec = 'pcm_s16le' AND bytes IS NOT NULL
       AND octet_length(bytes) % 2 = 0 AND octet_length(bytes) >= 2
       AND sr_hz IS NOT NULL AND sr_hz > 0
 """
+
+
+q_audio_transcode_clips.oracle = _audio_transcode_sql
 
 
 def q_events_session_paths(sf_dir):
@@ -9732,6 +9484,7 @@ p AS (
 SELECT path, CAST(count(*) AS BIGINT) AS n
 FROM p GROUP BY path ORDER BY n DESC, path LIMIT 10
 """
+q_events_session_paths.oracle = _SESSION_PATHS_SQL
 
 
 def q_scd2_orders_history(sf_dir):
@@ -9796,6 +9549,7 @@ SELECT kn, round(pn, 2), sn, 2, -1 FROM flags WHERE changed
 UNION ALL
 SELECT kn, round(pn, 2), sn, 2, -1 FROM flags WHERE added
 """
+q_scd2_orders_history.oracle = _SCD2_SQL
 
 
 def q_codec_sniff_clips(sf_dir):
@@ -9883,6 +9637,9 @@ FROM s GROUP BY 1, 2, 3
 """.replace("{path}", path)
 
 
+q_codec_sniff_clips.oracle = _codec_sniff_sql
+
+
 def q_bigram_logprob_docs(sf_dir):
     """Per-document mean conditional bigram log-probability
     (functions/text.py bigram_logprob): distributed single-key bigram
@@ -9921,6 +9678,7 @@ SELECT d.doc_id, CAST(coalesce(n_bigrams, 0) AS BIGINT) AS n_bigrams,
 FROM documents d LEFT JOIN per USING (doc_id)
 WHERE d.text IS NOT NULL
 """
+q_bigram_logprob_docs.oracle = _BIGRAM_SQL
 
 
 def q_zipf_fit_docs(sf_dir):
@@ -9983,6 +9741,7 @@ SELECT CAST((SELECT count(*) FROM toks) AS BIGINT) AS n_tokens,
        round(regr_intercept(ln(c), ln(rn)), 6) AS zipf_intercept
 FROM top
 """
+q_zipf_fit_docs.oracle = _ZIPF_SQL
 
 
 def q_ann_topk_ivf_appended(sf_dir):
@@ -10016,6 +9775,9 @@ def q_ann_topk_ivf_appended(sf_dir):
     queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
                "matrix": _embedding_matrix(qt, "embedding")}
     return AnnIndex(idx).probe(queries, k=5, nprobe=12)
+
+
+q_ann_topk_ivf_appended.oracle = _ANN_TOPK_SQL
 
 
 def q_audio_pitchshift_clips(sf_dir):
@@ -10067,6 +9829,9 @@ o AS (
 SELECT clip_id, CAST(sum(out_n) AS BIGINT) AS out_samples
 FROM o GROUP BY clip_id
 """
+
+
+q_audio_pitchshift_clips.oracle = _audio_pitchshift_sql
 
 
 # analysis-stage hop constants mirrored into the pitch-shift oracle:
@@ -10155,6 +9920,7 @@ SELECT o_custkey, r_score, f_score, m_score,
          AS rfm_code
 FROM t
 """
+q_customer_rfm.oracle = _RFM_SQL
 
 
 def q_pareto_parts_revenue(sf_dir):
@@ -10230,6 +9996,7 @@ SELECT CAST((SELECT n FROM tot) AS BIGINT) AS n_parts,
                   (SELECT n FROM tot) * 0.20) AS BIGINT)))
              / CAST((SELECT t FROM tot) AS DOUBLE), 6) AS share_top20
 """
+q_pareto_parts_revenue.oracle = _PARETO_SQL
 
 
 def q_q6_forecast_revenue(sf_dir):
@@ -10291,6 +10058,7 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
   AND CAST(round(l_discount * 100) AS BIGINT) BETWEEN 5 AND 7
   AND CAST(round(l_quantity) AS BIGINT) < 24
 """
+q_q6_forecast_revenue.oracle = _Q6_FORECAST_SQL
 
 
 def q_q15_top_supplier(sf_dir):
@@ -10347,6 +10115,7 @@ SELECT s_suppkey, s_name, total_rev_e2
 FROM r JOIN supplier USING (s_suppkey)
 WHERE total_rev_e2 = (SELECT max(total_rev_e2) FROM r)
 """
+q_q15_top_supplier.oracle = _Q15_TOP_SUPPLIER_SQL
 
 
 def q_q7_volume_shipping(sf_dir):
@@ -10463,6 +10232,7 @@ WHERE l_shipdate >= TIMESTAMP '1996-01-01'
     OR (n1.n_name = 'NATION_2' AND n2.n_name = 'NATION_1'))
 GROUP BY 1, 2, 3
 """
+q_q7_volume_shipping.oracle = _Q7_VOLUME_SHIPPING_SQL
 
 
 def q_q8_market_share(sf_dir):
@@ -10593,6 +10363,7 @@ SELECT o_year,
              / CAST(sum(rev_e2) AS DOUBLE), 6) AS mkt_share
 FROM j GROUP BY 1 ORDER BY 1
 """
+q_q8_market_share.oracle = _Q8_MARKET_SHARE_SQL
 
 
 def q_q21_waiting_suppliers(sf_dir):
@@ -10694,6 +10465,7 @@ FROM o JOIN supplier ON s_suppkey = late_supp
 WHERE n_supp >= 2 AND n_late = 1
 GROUP BY 1, 2
 """
+q_q21_waiting_suppliers.oracle = _Q21_WAITING_SQL
 
 
 def q_kl_source_divergence_docs(sf_dir):
@@ -10732,6 +10504,7 @@ SELECT sh.source, CAST(s.n AS BIGINT) AS n_tokens,
 FROM sh JOIN s USING (source) JOIN g USING (h) CROSS JOIN tot
 GROUP BY 1, 2
 """
+q_kl_source_divergence_docs.oracle = _KL_SOURCE_SQL
 
 
 def q_length_band_docs(sf_dir):
@@ -10786,6 +10559,7 @@ SELECT doc_id, d.lang, n_chars
 FROM documents d JOIN b USING (lang)
 WHERE n_chars BETWEEN lo AND hi
 """
+q_length_band_docs.oracle = _LENGTH_BAND_SQL
 
 
 def q_bpe_train_docs(sf_dir):
@@ -10944,6 +10718,7 @@ FROM (
 ORDER BY revenue_e4 DESC, o_orderkey
 LIMIT 10
 """
+q_q3_shipping_priority.oracle = _Q3_SHIPPING_PRIORITY_SQL
 
 
 def q_q4_order_priority(sf_dir):
@@ -11014,6 +10789,7 @@ WHERE o_orderdate >= TIMESTAMP '1997-07-01'
 GROUP BY o_orderpriority
 ORDER BY o_orderpriority
 """
+q_q4_order_priority.oracle = _Q4_PRIORITY_SQL
 
 
 def q_q13_customer_distribution(sf_dir):
@@ -11068,6 +10844,7 @@ FROM (
 GROUP BY c_count
 ORDER BY custdist DESC, c_count DESC
 """
+q_q13_customer_distribution.oracle = _Q13_CUSTDIST_SQL
 
 
 def q_q14_promo_effect(sf_dir):
@@ -11145,6 +10922,7 @@ WHERE l_partkey = p_partkey
   AND l_shipdate >= TIMESTAMP '1997-09-01'
   AND l_shipdate < TIMESTAMP '1997-10-01'
 """
+q_q14_promo_effect.oracle = _Q14_PROMO_SQL
 
 
 # --- TPC-H analogue: Q12 (shipping-delay priority bands) ------------------
@@ -11229,7 +11007,7 @@ FROM (
 GROUP BY delay_band
 ORDER BY delay_band
 """
-
+q_q12_shipping_delay_bands.oracle = _Q12_DELAY_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -11292,6 +11070,7 @@ WHERE l_partkey BETWEEN 100 AND 400
 GROUP BY l_returnflag
 ORDER BY l_returnflag
 """
+q_zorder_pruning_lineitem.oracle = _ZORDER_PRUNING_SQL
 
 
 # ---------------------------------------------------------------------------
@@ -11395,6 +11174,7 @@ FROM cost JOIN eu USING (s_suppkey)
 QUALIFY cost_e2 = min(cost_e2) OVER (PARTITION BY p_partkey)
 ORDER BY p_partkey, s_suppkey
 """
+q_q2_min_cost_supplier.oracle = _Q2_MIN_COST_SQL
 
 
 def q_q9_product_profit(sf_dir):
@@ -11500,6 +11280,7 @@ WHERE p_name LIKE '%widget%'
 GROUP BY 1, 2
 ORDER BY 1, 2
 """
+q_q9_product_profit.oracle = _Q9_PRODUCT_PROFIT_SQL
 
 
 def q_q11_important_parts(sf_dir):
@@ -11574,6 +11355,7 @@ WHERE value_e2 * (SELECT count(*) FROM v)
       > 2 * (SELECT sum(value_e2) FROM v)
 ORDER BY value_e2 DESC, p_partkey
 """
+q_q11_important_parts.oracle = _Q11_IMPORTANT_PARTS_SQL
 
 
 def q_q16_supplier_part_counts(sf_dir):
@@ -11649,6 +11431,7 @@ WHERE p_brand <> 'Brand#13' AND p_type <> 'PROMO'
 GROUP BY 1, 2, 3
 ORDER BY supplier_cnt DESC, p_brand, p_type, p_size
 """
+q_q16_supplier_part_counts.oracle = _Q16_SUPPLIER_COUNTS_SQL
 
 
 def q_q20_promotion_suppliers(sf_dir):
@@ -11722,6 +11505,7 @@ FROM s JOIN supplier USING (s_suppkey)
 WHERE qty_sum * (SELECT count(*) FROM s) > (SELECT sum(qty_sum) FROM s)
 ORDER BY s_suppkey
 """
+q_q20_promotion_suppliers.oracle = _Q20_PROMOTION_SQL
 
 
 def q_substring_dup_docs(sf_dir):
@@ -11768,6 +11552,7 @@ SELECT doc_id, n_windows,
 FROM cov
 GROUP BY doc_id, n_windows
 """
+q_substring_dup_docs.oracle = _SUBSTRING_DUP_SQL
 
 
 def q_fingerprint_lookup_clips(sf_dir):
@@ -11875,6 +11660,7 @@ WHERE l_orderkey IN ({', '.join(str(k) for k in _BLOOM_LOOKUP_KEYS)})
 GROUP BY 1
 ORDER BY 1
 """
+q_bloom_pointlookup_lineitem.oracle = _BLOOM_POINTLOOKUP_SQL
 
 
 def q_filter_cascade_docs(sf_dir):
@@ -11955,6 +11741,7 @@ SELECT 4, 'mean_word_len', CAST(count(*) FILTER (WHERE p3) AS BIGINT),
        CAST(count(*) FILTER (WHERE p4) AS BIGINT) FROM m
 ORDER BY stage_no
 """
+q_filter_cascade_docs.oracle = _FILTER_CASCADE_SQL
 
 
 def q_grouped_split_docs(sf_dir):
@@ -12000,6 +11787,7 @@ FROM (SELECT source, {_U_SQL.format(id='source')} AS u FROM documents)
 GROUP BY 1, 2
 ORDER BY 1, 2
 """
+q_grouped_split_docs.oracle = _GROUPED_SPLIT_SQL
 
 
 def q_merge_orders_cdc(sf_dir):
@@ -12114,3 +11902,27 @@ FROM merged
 GROUP BY 1
 ORDER BY 1
 """
+q_merge_orders_cdc.oracle = _MERGE_ORDERS_CDC_SQL
+
+
+def build_queries() -> dict:
+    """Every module-level ``q_<name>`` function, keyed by ``<name>``,
+    in definition order."""
+    return {name[2:]: f for name, f in globals().items()
+            if name.startswith("q_") and inspect.isfunction(f)
+            and f.__module__ == __name__}
+
+
+def build_oracles(sf_dir: str = "/root/testdata/sf0.01") -> dict:
+    """Oracle SQL per oracle-checked query (those with an ``.oracle``).
+
+    The driver calls this with no argument and compares at sf0.01
+    (driver contract); the clips-family oracles read a deterministic
+    /tmp cache derived from that sf_dir, so sweeps at other scales
+    (scripts/sweep_queries.py) pass the matching sf_dir instead."""
+    sql = {}
+    for name, fn in build_queries().items():
+        oracle = getattr(fn, "oracle", None)
+        if oracle is not None:
+            sql[name] = oracle(sf_dir) if callable(oracle) else oracle
+    return sql

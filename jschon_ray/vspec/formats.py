@@ -303,14 +303,16 @@ def validate_uri(value: str) -> None:
 
 # ---------------------------------------------------------------------------
 # idn-hostname / idn-email — pure-Python IDNA2008 subset (RFC 5890/5891/
-# 5892/5893 + RFC 6531 for the SMTPUTF8 mailbox), no idna package, no
-# network. Covers the rule classes the suite's optional/format files
-# probe: NFC form, hyphen placement (incl. the 3-4 "--" rule), leading
-# combining marks, RFC 5892 §2.6 exceptional PVALID / DISALLOWED code
-# points, the CONTEXTO rules (MIDDLE DOT, Greek keraia, Hebrew
-# geresh/gershayim, katakana middle dot, Arabic-Indic digit mixing),
-# CONTEXTJ virama rules for ZWJ/ZWNJ, the RFC 5893 Bidi rule, punycode
-# (xn--) round-trip validity, and label/name octet lengths.
+# 5892/5893 + RFC 6531 for the SMTPUTF8 mailbox), no network. Covers the
+# rule classes the suite's optional/format files probe: NFC form, hyphen
+# placement (incl. the 3-4 "--" rule), leading combining marks, RFC 5892
+# §2.6 exceptional PVALID / DISALLOWED code points, the CONTEXTO rules
+# (MIDDLE DOT, Greek keraia, Hebrew geresh/gershayim, katakana middle
+# dot, Arabic-Indic digit mixing), the CONTEXTJ rules for ZWJ/ZWNJ
+# (virama and Joining_Type branches, via the `idna` package's
+# `valid_contextj`, imported only when a label carries ZWJ/ZWNJ), the
+# RFC 5893 Bidi rule, punycode (xn--) round-trip validity, and
+# label/name octet lengths.
 
 _IDNA_PVALID_EXCEPTIONS = frozenset("ßς۽۾་〇")
 _IDNA_DISALLOWED = frozenset(
@@ -351,7 +353,6 @@ def _hira_kata_han(ch):
 
 def _idna_context_ok(label: str) -> bool:
     """RFC 5892 Appendix A contextual rules over one U-label."""
-    import unicodedata
     for i, ch in enumerate(label):
         prev = label[i - 1] if i else ""
         nxt = label[i + 1] if i + 1 < len(label) else ""
@@ -364,8 +365,10 @@ def _idna_context_ok(label: str) -> bool:
         elif ch in "׳״":               # geresh / gershayim
             if not (prev and _hebrew(prev)):
                 return False
-        elif ch in "‌‍":               # ZWNJ / ZWJ: after virama
-            if not (prev and unicodedata.combining(prev) == 9):
+        elif ch in "‌‍":               # ZWNJ / ZWJ: CONTEXTJ
+            # needs Joining_Type, which unicodedata does not carry
+            from idna.core import valid_contextj
+            if not valid_contextj(label, i):
                 return False
         elif ch == "・":                     # katakana middle dot
             if not any(_hira_kata_han(c) for c in label):

@@ -9,7 +9,10 @@ here is a regression in that guard class.
 
 Usage:
     python scripts/sweep_queries.py [SF_DIR] [--only name1,name2]
-Exit code 0 iff every query runs green.
+Exit code 0 iff every query runs green; 2 when an --only name is not a
+registered query. The last line is one JSON summary, including how many
+registered queries carry an oracle (n_oracle) and how many are
+rows-only (n_rows_only).
 """
 
 from __future__ import annotations
@@ -80,6 +83,11 @@ def main() -> int:
                 f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{p}')")
 
     queries = build_queries()
+    unknown = sorted((only or set()) - set(queries))
+    if unknown:
+        print(f"unknown query name(s) in --only: {', '.join(unknown)}",
+              file=sys.stderr)
+        return 2
     oracles = build_oracles(sf_dir)
     results = {}
     n_fail = 0
@@ -130,7 +138,8 @@ def main() -> int:
                 pass
 
     print(json.dumps({"sf_dir": sf_dir, "total": len(results),
-                      "failed": n_fail}))
+                      "failed": n_fail, "n_oracle": len(oracles),
+                      "n_rows_only": len(queries) - len(oracles)}))
     return 1 if n_fail else 0
 
 

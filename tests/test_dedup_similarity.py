@@ -953,7 +953,7 @@ def test_ann_index_rebuild_crash_window_recovery(ray_session, tmp_path):
     pd.testing.assert_frame_equal(rec2.probe(q, k=3, nprobe=4), want)
 
 
-@pytest.mark.parametrize("query", ["q_minhash_docs", "q_simhash_docs"])
+@pytest.mark.parametrize("query", ["q_minhash_lsh_docs", "q_simhash_docs"])
 def test_pair_queries_emit_one_schema(ray_session, query):
     """Every output block of the pairs-only queries carries (id_a, id_b):
     the zero-row schema seed included, which a select_columns after the

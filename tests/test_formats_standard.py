@@ -68,14 +68,6 @@ def test_formats_opt_in_through_both_engines():
     assert out["valid"].to_pylist() == [True, False]
 
 
-_ZWNJ_JOINING = ("RFC 5892 A.1 (ZERO WIDTH NON-JOINER) has two branches; "
-                 "only the virama one is implemented. The other needs "
-                 "Unicode Joining_Type, which unicodedata does not carry "
-                 "(suite_coverage_map: optional/format/idn-hostname is "
-                 "partial until it lands)")
-
-
-@pytest.mark.xfail(strict=True, raises=ValueError, reason=_ZWNJ_JOINING)
 def test_idn_hostname_zwnj_between_joining_letters():
     """A ZWNJ between two dual-joining Arabic letters is valid (the
     upstream suite's 'zwnj preceded by Joining_Type D' case)."""

@@ -103,3 +103,27 @@ def test_result_does_not_depend_on_bucket_count(name):
     # EWMA blocks run over a different row mix at each bucket count
     pd.testing.assert_frame_equal(one, seven, check_exact=False,
                                   rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("query", ["q_events_ewma_value",
+                                   "q_supplier_busy_windows"])
+def test_transformed_lineage_query_executes_once(monkeypatch, query):
+    """A query that filters or maps its read before a keyed scan sizes
+    the buckets from the source read: counting the transformed lineage
+    would execute the read a second time just for the row count."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor,
+    )
+
+    from jschon_ray.pipelines import queries as Q
+
+    runs = []
+    execute = StreamingExecutor.execute
+
+    def counted(self, *args, **kwargs):
+        runs.append(self)
+        return execute(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    assert len(getattr(Q, query)("/root/testdata/sf0.001")) > 0
+    assert len(runs) == 1
