@@ -1,21 +1,38 @@
 """Similarity search over embedding columns (list<float>).
 
-* Brute-force cosine top-k: numpy matmul per batch against a broadcast,
-  L2-normalized query matrix (ray.put once); per-batch partial top-k ->
-  tiny groupby(query) final merge. The baseline ANN path.
-* LSH-bucketed variant: random-hyperplane signatures bucket both sides;
-  matmul only within buckets — the scale path when the query set is large.
-* All-pairs near-dup: signature-bucketed candidate generation + exact
-  cosine verify (embedding analogue of MinHash-LSH).
+* ANN top-k. Every entry point -- the exact scan (``ann_topk``),
+  in-memory IVF (``ann_topk_ivf``), a persisted IVF index
+  (``ann_topk_ivf_from_index``), flat PQ (``pq_ann_topk``) and IVF-PQ
+  (``ann_topk_ivfpq``) -- runs ONE top-k core: the ``_TopK`` per-block
+  scorer as a task-pool stage fused with the read, the one
+  ``groupby(query_id)`` reduce of ``_topk`` and, for the two-stage PQ
+  paths, the one ``_exact_rerank``. Every path ranks by the DuckDB
+  oracle's ``(round(sim, 6) DESC, id)``. A path differs in only two
+  ways:
+
+  - how a row is scored: a float row by ``m @ qmat.T``, a PQ row by the
+    ADC lookup-table sum over its ``pq_code``;
+  - which queries a row may score against: all of them (exact scan,
+    flat PQ), those probing the centroid cell the row is nearest to
+    (in-memory IVF), or those probing the row's stored ``cell_id``
+    (persisted IVF and IVF-PQ). A row in an unprobed cell is never
+    scored against that query.
+* All-pairs near-dup: exact broadcast, or signature-bucketed candidate
+  generation + exact cosine verify (embedding analogue of MinHash-LSH).
+* Semantic dedup (SemDeDup): cluster, then prune near-dups per cluster.
 """
 
 from __future__ import annotations
 
+import functools
+import json
 import os
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pqt
 import ray
 
 from ..sources.io import read_parquet_clean
@@ -25,7 +42,6 @@ def _embedding_matrix(batch: pa.Table, col: str) -> np.ndarray:
     arr = batch[col]
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    import pyarrow.compute as pc
     flat = pc.list_flatten(arr).to_numpy(zero_copy_only=False) \
         .astype(np.float64)
     n = len(arr)
@@ -64,45 +80,179 @@ def seeded_sample(ds, col: str, n: int, *, frac: float | None = None,
     return x[np.lexsort(x.T[::-1])]
 
 
-class TopKScorer:
-    """map_batches actor: per-batch cosine top-k against broadcast queries."""
+# ---------------------------------------------------------------------------
+# The ANN top-k core: one scorer, one reduce, one rerank
 
-    def __init__(self, queries_ref, id_col, emb_col, k, round_decimals):
-        q = ray.get(queries_ref) if isinstance(queries_ref, ray.ObjectRef) \
-            else queries_ref
-        self.qids = q["ids"]
-        self.qmat = _normalize(np.asarray(q["matrix"], np.float64))
-        self.id_col = id_col
-        self.emb_col = emb_col
+
+def _query_matrix(queries: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, unit-row matrix) of a ``{"ids", "matrix"}`` query set."""
+    return (np.asarray(queries["ids"]),
+            _normalize(np.asarray(queries["matrix"], np.float64)))
+
+
+def _probe_cells(qmat: np.ndarray, centroids: np.ndarray,
+                 nprobe: int) -> dict:
+    """The one probe-to-cells map: cell -> indices of the queries whose
+    ``nprobe`` nearest centroids include that cell."""
+    nprobe = min(nprobe, len(centroids))
+    probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :nprobe]
+    cells: dict[int, list] = {}
+    for qi, row in enumerate(probe):
+        for cell in row:
+            cells.setdefault(int(cell), []).append(qi)
+    return {c: np.asarray(v) for c, v in cells.items()}
+
+
+def _top_rows(sims: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k best rows by (sim DESC, id ASC), the oracle's
+    ORDER BY: of the rows tied at the k-th similarity, the smallest ids
+    are kept. Only the rows at or above the k-th similarity are sorted."""
+    n = len(sims)
+    cand = np.arange(n)
+    if n > k:
+        cand = np.flatnonzero(sims >= np.partition(sims, n - k)[n - k])
+    return cand[np.lexsort((ids[cand], -sims[cand]))[:k]]
+
+
+def _adc_lut(qmat: np.ndarray, books: np.ndarray) -> np.ndarray:
+    """ADC lookup tables lut[q, j, c] = q_j . codebook[j, c] (Q, m, K):
+    scoring a PQ row is then m table lookups and a sum."""
+    m, _, sub = books.shape
+    return np.einsum("qms,mks->qmk", qmat.reshape(len(qmat), m, sub),
+                     books)
+
+
+def _pq_code_matrix(batch: pa.Table) -> np.ndarray:
+    col = batch["pq_code"]
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    return col.flatten().to_numpy(zero_copy_only=False) \
+        .reshape(len(col), -1)
+
+
+class _TopK:
+    """The one per-block ANN scorer: each query's k best rows of a block
+    as (query_id, neighbor_id, sim), sims rounded to ``round_decimals``
+    BEFORE selection and ties broken by id (``_top_rows``).
+
+    A plain callable, so ``map_batches`` runs it as a task-pool stage
+    fused with the read; its state (queries, lookup tables, centroids)
+    is a few KB shipped with the function.
+
+    Kernel: given ``lut`` (``_adc_lut``) a row is its ``pq_code`` and
+    scores by the ADC sum; otherwise it is the unit-normalized
+    ``emb_col`` vector and scores by ``m @ qmat.T``. Gating: without
+    ``cell_queries`` (``_probe_cells``) a row scores against every
+    query; with it, only against the queries probing the row's cell --
+    its nearest of ``centroids`` when those are given, else its stored
+    ``cell_id``."""
+
+    def __init__(self, qids, k, round_decimals, *, id_col, emb_col=None,
+                 qmat=None, lut=None, cell_queries=None, centroids=None):
+        self.qids = pa.array(qids)
         self.k = k
         self.round = round_decimals
+        self.id_col = id_col
+        self.emb_col = emb_col
+        self.qmat = qmat
+        self.lut = lut
+        self.cell_queries = cell_queries
+        self.centroids = centroids
+
+    def _groups(self, batch: pa.Table, rows: np.ndarray):
+        """(row positions, query indices) pairs: who scores against whom."""
+        if self.cell_queries is None:
+            return [(np.arange(len(rows)), np.arange(len(self.qids)))]
+        if self.centroids is not None:
+            cells = np.argmax(rows @ self.centroids.T, axis=1)
+        else:
+            cells = batch["cell_id"].to_numpy(zero_copy_only=False)
+        return [(np.flatnonzero(cells == c), self.cell_queries[int(c)])
+                for c in np.unique(cells) if int(c) in self.cell_queries]
+
+    def _sims(self, rows: np.ndarray, qidx: np.ndarray) -> np.ndarray:
+        """(rows, queries) similarity matrix."""
+        if self.lut is None:
+            return rows @ self.qmat[qidx].T
+        j = np.arange(rows.shape[1])
+        return np.stack([self.lut[qi][j, rows].sum(axis=1)
+                         for qi in qidx], axis=1)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:     # empty blocks score nothing
-            return pa.table({
-                "query_id": pa.array(np.asarray(self.qids)[:0]),
-                "neighbor_id": pa.array([], batch.schema.field(
-                    self.id_col).type),
-                "sim": pa.array([], pa.float64())})
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        m = _normalize(_embedding_matrix(batch, self.emb_col))
-        sims = m @ self.qmat.T                      # (n_rows, n_queries)
-        if self.round is not None:
-            sims = np.round(sims, self.round)
-        k = min(self.k, len(ids))
-        part = np.argpartition(-sims, k - 1, axis=0)[:k]  # per query
-        qn = sims.shape[1]
-        rows_q, rows_n, rows_s = [], [], []
-        for qi in range(qn):
-            sel = part[:, qi]
-            rows_q.append(np.full(k, self.qids[qi]))
-            rows_n.append(ids[sel])
-            rows_s.append(sims[sel, qi])
+        q_pos, row_pos, top_sims = [np.zeros(0, np.int64)], \
+            [np.zeros(0, np.int64)], [np.zeros(0, np.float64)]
+        if batch.num_rows:
+            ids = batch[self.id_col].to_numpy(zero_copy_only=False)
+            rows = (_pq_code_matrix(batch) if self.lut is not None else
+                    _normalize(_embedding_matrix(batch, self.emb_col)))
+            for sel, qidx in self._groups(batch, rows):
+                sims = self._sims(rows[sel], qidx)
+                if self.round is not None:
+                    sims = np.round(sims, self.round)
+                for j, qi in enumerate(qidx):
+                    top = _top_rows(sims[:, j], ids[sel], self.k)
+                    q_pos.append(np.full(len(top), qi))
+                    row_pos.append(sel[top])
+                    top_sims.append(sims[top, j])
+        # typed even when empty: the id column's own type, the queries'
         return pa.table({
-            "query_id": pa.array(np.concatenate(rows_q)),
-            "neighbor_id": pa.array(np.concatenate(rows_n)),
-            "sim": pa.array(np.concatenate(rows_s)),
-        })
+            "query_id": self.qids.take(np.concatenate(q_pos)),
+            "neighbor_id": batch[self.id_col].take(
+                np.concatenate(row_pos)),
+            "sim": pa.array(np.concatenate(top_sims), pa.float64())})
+
+
+def _topk(ds, scorer: _TopK):
+    """Scan ``ds`` with ``scorer`` and reduce the per-block partials to
+    each query's ``scorer.k`` best rows by (sim DESC, neighbor_id): the
+    one final reduce. Returns a lazy Dataset (query_id, neighbor_id,
+    rank)."""
+    k = scorer.k
+
+    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values(["sim", "neighbor_id"],
+                          ascending=[False, True]).head(k)
+        g = g.reset_index(drop=True)
+        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
+        return g[["query_id", "neighbor_id", "rank"]]
+
+    return ds.map_batches(scorer, batch_format="pyarrow") \
+        .groupby("query_id").map_groups(final_topk, batch_format="pandas")
+
+
+def _exact_rerank(raw_ds, short: pd.DataFrame, qids: np.ndarray,
+                  qmat: np.ndarray, *, id_col: str, emb_col: str, k: int,
+                  round_decimals) -> pd.DataFrame:
+    """The one exact rerank of a per-query shortlist (query_id,
+    neighbor_id): read the raw vectors of the shortlisted ids only,
+    score each query against its own shortlist and rank by
+    (round(sim) DESC, id). The driver handles O(Q * shortlist) rows."""
+    cands = pa.array(short["neighbor_id"].unique())
+
+    def keep_cands(t: pa.Table) -> pa.Table:
+        return t.filter(pc.is_in(t[id_col], value_set=cands.cast(
+            t.schema.field(id_col).type)))
+
+    tbl = pa.concat_tables(list(
+        raw_ds.select_columns([id_col, emb_col])
+        .map_batches(keep_cands, batch_format="pyarrow")
+        .iter_batches(batch_format="pyarrow")))
+    ids = tbl[id_col].to_numpy(zero_copy_only=False)
+    sims = _normalize(_embedding_matrix(tbl, emb_col)) @ qmat.T
+    if round_decimals is not None:
+        sims = np.round(sims, round_decimals)
+    out_q, out_n, out_r = [], [], []
+    for qi, qid in enumerate(qids):
+        mine = np.flatnonzero(np.isin(
+            ids, short["neighbor_id"][short["query_id"] == qid]))
+        top = mine[_top_rows(sims[mine, qi], ids[mine], k)]
+        out_q.append(np.full(len(top), qid))
+        out_n.append(ids[top])
+        out_r.append(np.arange(1, len(top) + 1, dtype=np.int64))
+    return pd.DataFrame({
+        "query_id": np.concatenate(out_q),
+        "neighbor_id": np.concatenate(out_n),
+        "rank": np.concatenate(out_r)})
 
 
 def ann_topk(ds, queries: dict, *, id_col="vec_id", emb_col="embedding",
@@ -115,25 +265,9 @@ def ann_topk(ds, queries: dict, *, id_col="vec_id", emb_col="embedding",
     ranking agrees with external engines (the DuckDB oracle) at 1e-6.
     Returns a lazy Dataset (query_id, neighbor_id, rank).
     """
-    qref = ray.put(queries)
-    parts = ds.map_batches(
-        TopKScorer,
-        fn_constructor_kwargs=dict(queries_ref=qref, id_col=id_col,
-                                   emb_col=emb_col, k=k,
-                                   round_decimals=round_decimals),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    return parts.groupby("query_id").map_groups(final_topk,
-                                                batch_format="pandas")
+    qids, qmat = _query_matrix(queries)
+    return _topk(ds, _TopK(qids, k, round_decimals, id_col=id_col,
+                           emb_col=emb_col, qmat=qmat))
 
 
 def embedding_neardup_exact(ds, *, id_col="vec_id", emb_col="embedding",
@@ -185,8 +319,6 @@ def embedding_neardup_exact(ds, *, id_col="vec_id", emb_col="embedding",
 
     out = ds.map_batches(score, batch_format="pyarrow").to_pandas()
     if "id_a" not in out.columns:       # ray drops schema on all-empty
-        import pandas as pd
-
         out = pd.DataFrame({"id_a": [], "id_b": [],
                             "sim": pd.Series([], dtype="float64")})
     return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
@@ -226,7 +358,6 @@ def embedding_neardup_pairs(ds, *, id_col="vec_id", emb_col="embedding",
                 emb_col: batch[emb_col]}))
         return pa.concat_tables(tabs)
 
-    import functools
     first = ds.take_batch(1, batch_format="pyarrow")
     dim = len(first[emb_col][0])
     rng = np.random.default_rng(seed)
@@ -289,55 +420,6 @@ def train_centroids(ds, *, emb_col="embedding", n_centroids=16,
     return cent
 
 
-class IVFTopKScorer:
-    """map_batches actor: score rows only against queries probing the
-    row's IVF cell. Compute skipped is real: a row in an unprobed cell is
-    never multiplied against that query."""
-
-    def __init__(self, state_ref, id_col, emb_col, k, round_decimals):
-        st = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) \
-            else state_ref
-        self.cent = st["centroids"]           # (C, dim), unit rows
-        self.qids = st["qids"]
-        self.qmat = st["qmat"]                # (Q, dim), unit rows
-        self.probe = st["probe"]              # (Q, nprobe) centroid ids
-        self.id_col = id_col
-        self.emb_col = emb_col
-        self.k = k
-        self.round = round_decimals
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        m = _normalize(_embedding_matrix(batch, self.emb_col))
-        assign = np.argmax(m @ self.cent.T, axis=1)
-        rows_q, rows_n, rows_s = [], [], []
-        for qi in range(len(self.qids)):
-            sel = np.isin(assign, self.probe[qi])
-            if not sel.any():
-                continue
-            sims = m[sel] @ self.qmat[qi]
-            if self.round is not None:
-                sims = np.round(sims, self.round)
-            k = min(self.k, len(sims))
-            part = np.argpartition(-sims, k - 1)[:k]
-            rows_q.append(np.full(k, self.qids[qi]))
-            rows_n.append(ids[sel][part])
-            rows_s.append(sims[part])
-        if not rows_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(rows_q)),
-            "neighbor_id": pa.array(np.concatenate(rows_n)),
-            "sim": pa.array(np.concatenate(rows_s)),
-        })
-
-
 def ann_topk_ivf(ds, queries: dict, *, id_col="vec_id",
                  emb_col="embedding", k=5, n_centroids=16, nprobe=4,
                  centroids=None, round_decimals=6, train_kwargs=None):
@@ -350,45 +432,27 @@ def ann_topk_ivf(ds, queries: dict, *, id_col="vec_id",
     (-sim, neighbor_id) tie-break). Returns (query_id, neighbor_id,
     rank) like `ann_topk`.
 
-    Scale path: assignment is one (batch x C) matmul per batch against a
-    broadcast centroid matrix — no shuffle; recall is tuned by
-    nprobe/n_centroids, not by data size.
+    Scale path: assignment is one (batch x C) matmul per batch against
+    the centroid matrix shipped with the scorer — no shuffle; recall is
+    tuned by nprobe/n_centroids, not by data size.
     """
     if centroids is None:
         centroids = train_centroids(ds, emb_col=emb_col,
                                     n_centroids=n_centroids,
                                     **(train_kwargs or {}))
-    qmat = _normalize(np.asarray(queries["matrix"], np.float64))
-    nprobe = min(nprobe, len(centroids))
-    probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :nprobe]
-    state = ray.put({"centroids": centroids,
-                     "qids": np.asarray(queries["ids"]),
-                     "qmat": qmat, "probe": probe})
-    parts = ds.map_batches(
-        IVFTopKScorer,
-        fn_constructor_kwargs=dict(state_ref=state, id_col=id_col,
-                                   emb_col=emb_col, k=k,
-                                   round_decimals=round_decimals),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    return parts.groupby("query_id").map_groups(final_topk,
-                                                batch_format="pandas")
+    qids, qmat = _query_matrix(queries)
+    return _topk(ds, _TopK(qids, k, round_decimals, id_col=id_col,
+                           emb_col=emb_col, qmat=qmat,
+                           cell_queries=_probe_cells(qmat, centroids,
+                                                     nprobe),
+                           centroids=centroids))
 
 
 # ---------------------------------------------------------------------------
 # persisted / partitioned IVF index — build once, probe with pruned reads
 
 
-def _cell_assign_fn(cent_ref, id_col: str, emb_col: str):
+def _cell_assign_fn(centroids, id_col: str, emb_col: str):
     """The ONE cell-assignment closure shared by index build and append
     (they must stay identical: appended rows assigned differently from
     built rows would land where probes don't look first)."""
@@ -398,9 +462,8 @@ def _cell_assign_fn(cent_ref, id_col: str, emb_col: str):
             batch = batch.select([id_col, emb_col])
             batch = batch.append_column("cell_id", pa.array(cell))
             return batch.append_column("cell", pa.array(cell))
-        cent = ray.get(cent_ref)
         m = _normalize(_embedding_matrix(batch, emb_col))
-        cell = np.argmax(m @ cent.T, axis=1).astype(np.int32)
+        cell = np.argmax(m @ centroids.T, axis=1).astype(np.int32)
         batch = batch.select([id_col, emb_col])
         batch = batch.append_column("cell_id", pa.array(cell))
         return batch.append_column("cell", pa.array(cell))
@@ -428,6 +491,60 @@ def _fresh_build_dir(index_dir: str, subdir: str) -> str:
     return d
 
 
+def _write_manifest(index_dir: str, manifest: dict) -> None:
+    with open(os.path.join(index_dir, "manifest.json"), "w") as f:
+        json.dump(manifest, f)
+
+
+def _read_manifest(index_dir: str) -> dict:
+    with open(os.path.join(index_dir, "manifest.json")) as f:
+        return json.load(f)
+
+
+def _read_index(index_dir: str):
+    """The one index reader: (manifest, centroids, codebooks) of a
+    persisted index, centroids (C, dim) in cell order and codebooks
+    (m, K, sub); either is None when the layout has none. The manifest
+    is read first, so an index whose build did not finish fails here."""
+    manifest = _read_manifest(index_dir)
+    centroids = books = None
+    path = os.path.join(index_dir, "centroids.parquet")
+    if os.path.exists(path):
+        t = pqt.read_table(path)
+        order = np.argsort(t["cell"].to_numpy(zero_copy_only=False))
+        centroids = _embedding_matrix(t.take(order), "centroid")
+    path = os.path.join(index_dir, "codebooks.parquet")
+    if os.path.exists(path):
+        t = pqt.read_table(path)
+        sub_i = t["subspace"].to_numpy(zero_copy_only=False)
+        code_i = t["code"].to_numpy(zero_copy_only=False)
+        vecs = _embedding_matrix(t, "vec")
+        books = np.empty((sub_i.max() + 1, code_i.max() + 1,
+                          vecs.shape[1]))
+        books[sub_i, code_i] = vecs
+    return manifest, centroids, books
+
+
+def _write_codebooks(index_dir: str, books: np.ndarray) -> dict:
+    """Write codebooks.parquet (subspace, code, vec); returns the
+    manifest's PQ fields."""
+    mm, kk, sub = books.shape
+    pqt.write_table(
+        pa.table({
+            "subspace": pa.array(np.repeat(np.arange(mm), kk), pa.int32()),
+            "code": pa.array(np.tile(np.arange(kk), mm), pa.int32()),
+            "vec": pa.array(list(books.reshape(mm * kk, sub)),
+                            pa.list_(pa.float64())),
+        }), os.path.join(index_dir, "codebooks.parquet"))
+    return {"pq_m": int(mm), "pq_codes": int(kk), "pq_sub": int(sub)}
+
+
+def _cell_files(index_dir: str, sub: str, cells) -> list:
+    dirs = [os.path.join(index_dir, sub, f"cell={c}") for c in cells]
+    return [os.path.join(d, f) for d in dirs if os.path.isdir(d)
+            for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+
+
 def build_ivf_index(ds, index_dir: str, *, id_col="vec_id",
                     emb_col="embedding", n_centroids=16, centroids=None,
                     train_kwargs=None) -> dict:
@@ -441,23 +558,17 @@ def build_ivf_index(ds, index_dir: str, *, id_col="vec_id",
       index_dir/manifest.json              (dims, counts, column names)
 
     100 TB posture: the build is a single streaming pass — assignment is
-    one (batch x C) matmul against a broadcast centroid matrix, and
+    one (batch x C) matmul against the centroid matrix, and
     ``write_parquet(partition_cols=["cell"])`` lays rows out hive-style
     by cell so probing reads ONLY nprobe/C of the data from storage.
     ``cell_id`` is duplicated inside the files so probing doesn't depend
     on hive-partition parsing. Returns the manifest dict.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pqt
-
     if centroids is None:
         centroids = train_centroids(ds, emb_col=emb_col,
                                     n_centroids=n_centroids,
                                     **(train_kwargs or {}))
     centroids = _normalize(np.asarray(centroids, np.float64))
-    cent_ref = ray.put(centroids)
 
     cells_dir = _fresh_build_dir(index_dir, "cells")
     # sort by cell before the partitioned write: WITHOUT it every write
@@ -469,7 +580,7 @@ def build_ivf_index(ds, index_dir: str, *, id_col="vec_id",
     # is one int-keyed range shuffle of the same bytes the write was
     # already moving; co-locating cells is exactly what the index is
     # for.
-    ds.map_batches(_cell_assign_fn(cent_ref, id_col, emb_col),
+    ds.map_batches(_cell_assign_fn(centroids, id_col, emb_col),
                    batch_format="pyarrow") \
         .sort("cell") \
         .write_parquet(cells_dir, partition_cols=["cell"])
@@ -494,56 +605,8 @@ def build_ivf_index(ds, index_dir: str, *, id_col="vec_id",
                 "dim": int(centroids.shape[1]),
                 "id_col": id_col, "emb_col": emb_col,
                 "cell_counts": counts}
-    with open(os.path.join(index_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
+    _write_manifest(index_dir, manifest)
     return manifest
-
-
-class _IndexedIVFScorer:
-    """map_batches actor over index cells: rows carry their cell_id, so
-    each row scores only against the queries probing that cell."""
-
-    def __init__(self, state_ref, id_col, emb_col, k, round_decimals):
-        st = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) \
-            else state_ref
-        self.qids = st["qids"]
-        self.qmat = st["qmat"]
-        self.cell_queries = st["cell_queries"]  # cell -> query index array
-        self.id_col = id_col
-        self.emb_col = emb_col
-        self.k = k
-        self.round = round_decimals
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        cells = batch["cell_id"].to_numpy(zero_copy_only=False)
-        m = _normalize(_embedding_matrix(batch, self.emb_col))
-        rows_q, rows_n, rows_s = [], [], []
-        for cell in np.unique(cells):
-            qidx = self.cell_queries.get(int(cell))
-            if qidx is None or not len(qidx):
-                continue
-            sel = cells == cell
-            sims_all = m[sel] @ self.qmat[qidx].T        # (rows, q)
-            sub_ids = ids[sel]
-            for j, qi in enumerate(qidx):
-                sims = sims_all[:, j]
-                if self.round is not None:
-                    sims = np.round(sims, self.round)
-                k = min(self.k, len(sims))
-                part = np.argpartition(-sims, k - 1)[:k]
-                rows_q.append(np.full(k, self.qids[qi]))
-                rows_n.append(sub_ids[part])
-                rows_s.append(sims[part])
-        if not rows_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(rows_q)),
-            "neighbor_id": pa.array(np.concatenate(rows_n)),
-            "sim": pa.array(np.concatenate(rows_s)),
-        })
 
 
 def ann_topk_ivf_from_index(index_dir: str, queries: dict, *, k=5,
@@ -557,57 +620,16 @@ def ann_topk_ivf_from_index(index_dir: str, queries: dict, *, k=5,
     scan bit-for-bit (same rounding + (-sim, neighbor_id) tie-break).
     Returns (query_id, neighbor_id, rank) like ``ann_topk``.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pqt
-
-    with open(os.path.join(index_dir, "manifest.json")) as f:
-        manifest = json.load(f)
-    cent_t = pqt.read_table(os.path.join(index_dir, "centroids.parquet"))
-    order = np.argsort(cent_t["cell"].to_numpy(zero_copy_only=False))
-    centroids = _embedding_matrix(cent_t.take(order), "centroid")
-
-    qmat = _normalize(np.asarray(queries["matrix"], np.float64))
-    qids = np.asarray(queries["ids"])
-    nprobe = min(nprobe, len(centroids))
-    probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :nprobe]
-
-    cell_queries: dict[int, list] = {}
-    for qi in range(len(qids)):
-        for cell in probe[qi]:
-            cell_queries.setdefault(int(cell), []).append(qi)
-    cell_queries = {c: np.asarray(v) for c, v in cell_queries.items()}
-
-    # pruned read: only files under probed cell directories
-    dirs = [os.path.join(index_dir, "cells", f"cell={c}")
-            for c in sorted(cell_queries)]
-    files = [os.path.join(d, f) for d in dirs if os.path.isdir(d)
-             for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
+    manifest, centroids, _ = _read_index(index_dir)
+    id_col, emb_col = manifest["id_col"], manifest["emb_col"]
+    qids, qmat = _query_matrix(queries)
+    cell_queries = _probe_cells(qmat, centroids, nprobe)
     ds = read_parquet_clean(
-        files, columns=[manifest["id_col"], manifest["emb_col"], "cell_id"])
-
-    state = ray.put({"qids": qids, "qmat": qmat,
-                     "cell_queries": cell_queries})
-    parts = ds.map_batches(
-        _IndexedIVFScorer,
-        fn_constructor_kwargs=dict(state_ref=state,
-                                   id_col=manifest["id_col"],
-                                   emb_col=manifest["emb_col"], k=k,
-                                   round_decimals=round_decimals),
-        batch_format="pyarrow",
-        concurrency=(1, 8),
-    )
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    return parts.groupby("query_id").map_groups(final_topk,
-                                                batch_format="pandas")
+        _cell_files(index_dir, "cells", sorted(cell_queries)),
+        columns=[id_col, emb_col, "cell_id"])
+    return _topk(ds, _TopK(qids, k, round_decimals, id_col=id_col,
+                           emb_col=emb_col, qmat=qmat,
+                           cell_queries=cell_queries))
 
 
 # ---------------------------------------------------------------------------
@@ -732,95 +754,42 @@ def pq_train(ds, *, emb_col="embedding", m=8, n_codes=256,
     return books
 
 
-class PQEncoder:
-    """map_batches stage: embeddings -> m uint8 codes per row."""
-
-    def __init__(self, books_ref, id_col, emb_col):
-        b = ray.get(books_ref) if isinstance(books_ref, ray.ObjectRef) \
-            else books_ref
-        self.books = np.asarray(b)                 # (m, k, sub)
-        self.half_norms = 0.5 * (self.books * self.books).sum(2)  # (m, k)
-        self.id_col = id_col
-        self.emb_col = emb_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        m, k, sub = self.books.shape
-        ids = batch[self.id_col]
-        if batch.num_rows == 0:
-            return pa.table({
-                self.id_col: ids,
-                "pq_code": pa.FixedSizeListArray.from_arrays(
-                    pa.array([], pa.uint8()), m)})
-        x = _normalize(_embedding_matrix(batch, self.emb_col))
-        codes = np.empty((len(x), m), np.uint8)
+def _encode_batch(batch: pa.Table, *, books: np.ndarray, id_col: str,
+                  emb_col: str) -> pa.Table:
+    """The one PQ encoder: embeddings -> m uint8 codes per row. A
+    ``cell_id`` column is carried through, with its ``cell`` copy for
+    the hive-partitioned write of an index's code cells."""
+    m, _, sub = books.shape
+    codes = np.zeros((batch.num_rows, m), np.uint8)
+    if batch.num_rows:
+        x = _normalize(_embedding_matrix(batch, emb_col))
+        half_norms = 0.5 * (books * books).sum(2)         # (m, K)
         for j in range(m):
-            xj = x[:, j * sub:(j + 1) * sub]
-            score = xj @ self.books[j].T - self.half_norms[j]
+            # argmin ||x - c||^2 == argmax (x.c - ||c||^2/2)
+            score = x[:, j * sub:(j + 1) * sub] @ books[j].T \
+                - half_norms[j]
             codes[:, j] = np.argmax(score, axis=1)
-        return pa.table({
-            self.id_col: ids,
-            "pq_code": pa.FixedSizeListArray.from_arrays(
-                pa.array(codes.reshape(-1), pa.uint8()), m),
-        })
+    out = pa.table({
+        id_col: batch[id_col],
+        "pq_code": pa.FixedSizeListArray.from_arrays(
+            pa.array(codes.reshape(-1), pa.uint8()), m)})
+    if "cell_id" in batch.column_names:
+        out = out.append_column("cell_id", batch["cell_id"])
+        out = out.append_column("cell", batch["cell_id"])
+    return out
 
 
 def pq_encode(ds, codebooks, *, id_col="vec_id", emb_col="embedding"):
     """Encode a Dataset to (id, pq_code fixed_size_list<uint8>[m]).
 
-    One broadcast of the codebooks (ray.put), one matmul per subspace per
-    batch; output rows are m + 8 bytes — the artifact you persist next to
-    (or instead of) raw embeddings at scale.
+    The codebooks ship with the task-pool function; one matmul per
+    subspace per batch; output rows are m + 8 bytes — the artifact you
+    persist next to (or instead of) raw embeddings at scale.
     """
-    ref = ray.put(np.asarray(codebooks))
     return ds.map_batches(
-        PQEncoder,
-        fn_constructor_kwargs=dict(books_ref=ref, id_col=id_col,
-                                   emb_col=emb_col),
-        batch_format="pyarrow", concurrency=(1, 8))
-
-
-class PQTopKScorer:
-    """map_batches actor: ADC partial top-k over PQ codes.
-
-    Per query the lookup table lut[j, c] = q_j . codebook[j, c] is built
-    ONCE in __init__ (m x n_codes floats); scoring a row is m table
-    lookups + a sum — no float vector is ever touched again.
-    """
-
-    def __init__(self, state_ref, id_col, k):
-        st = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) \
-            else state_ref
-        books = st["books"]                        # (m, K, sub)
-        qmat = st["qmat"]                          # (Q, d), unit rows
-        self.qids = st["qids"]
-        m, K, sub = books.shape
-        q = qmat.reshape(len(qmat), m, sub)        # (Q, m, sub)
-        self.lut = np.einsum("qms,mks->qmk", q, books)   # (Q, m, K)
-        self.id_col = id_col
-        self.k = k
-        self.m = m
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        flat = batch["pq_code"]
-        if isinstance(flat, pa.ChunkedArray):
-            flat = flat.combine_chunks()
-        codes = flat.flatten().to_numpy(zero_copy_only=False) \
-            .reshape(len(ids), self.m)
-        rows_q, rows_n, rows_s = [], [], []
-        j_idx = np.arange(self.m)[None, :]
-        for qi in range(len(self.qids)):
-            sims = self.lut[qi][j_idx, codes].sum(axis=1)
-            k = min(self.k, len(sims))
-            part = np.argpartition(-sims, k - 1)[:k]
-            rows_q.append(np.full(k, self.qids[qi]))
-            rows_n.append(ids[part])
-            rows_s.append(sims[part])
-        return pa.table({
-            "query_id": pa.array(np.concatenate(rows_q)),
-            "neighbor_id": pa.array(np.concatenate(rows_n)),
-            "sim": pa.array(np.concatenate(rows_s)),
-        })
+        functools.partial(_encode_batch, books=np.asarray(codebooks),
+                          id_col=id_col, emb_col=emb_col),
+        batch_format="pyarrow")
 
 
 def pq_ann_topk(codes_ds, queries: dict, codebooks, *, id_col="vec_id",
@@ -832,25 +801,10 @@ def pq_ann_topk(codes_ds, queries: dict, codebooks, *, id_col="vec_id",
     approximation error is bounded by the per-subspace quantization
     error, measured by the recall tests. Ties break (-sim, neighbor_id).
     """
-    qmat = _normalize(np.asarray(queries["matrix"], np.float64))
-    state = ray.put({"books": np.asarray(codebooks),
-                     "qids": np.asarray(queries["ids"]), "qmat": qmat})
-    parts = codes_ds.map_batches(
-        PQTopKScorer,
-        fn_constructor_kwargs=dict(state_ref=state, id_col=id_col, k=k),
-        batch_format="pyarrow", concurrency=(1, 8))
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        if round_decimals is not None:
-            g = g.assign(sim=np.round(g["sim"], round_decimals))
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "neighbor_id", "rank"]]
-
-    return parts.groupby("query_id").map_groups(final_topk,
-                                                batch_format="pandas")
+    qids, qmat = _query_matrix(queries)
+    return _topk(codes_ds, _TopK(qids, k, round_decimals, id_col=id_col,
+                                 lut=_adc_lut(qmat,
+                                              np.asarray(codebooks))))
 
 
 def pq_ann_topk_rerank(codes_ds, raw_ds, queries: dict, codebooks, *,
@@ -860,48 +814,19 @@ def pq_ann_topk_rerank(codes_ds, raw_ds, queries: dict, codebooks, *,
 
     Stage 1 scans only the compressed codes (ADC) for a `shortlist`-sized
     candidate set per query; stage 2 re-reads the RAW embeddings of just
-    those candidates (broadcast id set -> pruned filter) and reranks them
-    exactly with `ann_topk`'s rounding and (-sim, neighbor_id) tie-break.
-    With a covering shortlist the result is bit-identical to the exact
-    scan; the full float corpus is never scanned. Driver handles
+    those candidates (pruned filter) and reranks them exactly with
+    `ann_topk`'s rounding and (-sim, neighbor_id) tie-break. With a
+    covering shortlist the result is bit-identical to the exact scan;
+    the full float corpus is never scanned. Driver handles
     O(Q * shortlist) rows only.
     """
     short = pq_ann_topk(codes_ds, queries, codebooks, id_col=id_col,
-                        k=shortlist, round_decimals=None).to_pandas()
-    cand_ids = set(short["neighbor_id"].tolist())
-    cand_ref = ray.put(cand_ids)
-
-    def keep_cands(t: pa.Table) -> pa.Table:
-        cands = ray.get(cand_ref)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        mask = np.fromiter((v in cands for v in ids), bool, len(ids))
-        return t.filter(pa.array(mask))
-
-    cand_tbl = pa.concat_tables(list(
-        raw_ds.select_columns([id_col, emb_col])
-        .map_batches(keep_cands, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")))
-    ids = cand_tbl[id_col].to_numpy(zero_copy_only=False)
-    m = _normalize(_embedding_matrix(cand_tbl, emb_col))
-    qmat = _normalize(np.asarray(queries["matrix"], np.float64))
-    by_query = dict(
-        (q, set(g["neighbor_id"])) for q, g in short.groupby("query_id"))
-    out_q, out_n, out_r = [], [], []
-    for qi, qid in enumerate(np.asarray(queries["ids"])):
-        sel = np.fromiter((v in by_query.get(qid, ()) for v in ids),
-                          bool, len(ids))
-        sims = m[sel] @ qmat[qi]
-        if round_decimals is not None:
-            sims = np.round(sims, round_decimals)
-        cand = ids[sel]
-        order = np.lexsort((cand, -sims))[:k]
-        out_q.append(np.full(len(order), qid))
-        out_n.append(cand[order])
-        out_r.append(np.arange(1, len(order) + 1, dtype=np.int64))
-    return pd.DataFrame({
-        "query_id": np.concatenate(out_q),
-        "neighbor_id": np.concatenate(out_n),
-        "rank": np.concatenate(out_r)})
+                        k=shortlist,
+                        round_decimals=round_decimals).to_pandas()
+    qids, qmat = _query_matrix(queries)
+    return _exact_rerank(raw_ds, short, qids, qmat, id_col=id_col,
+                         emb_col=emb_col, k=k,
+                         round_decimals=round_decimals)
 
 
 # ---------------------------------------------------------------------------
@@ -910,6 +835,18 @@ def pq_ann_topk_rerank(codes_ds, raw_ds, queries: dict, codebooks, *,
 # stores (m uint8 codes per row). Raw embeddings stay in the sibling
 # `cells/` partitions (build_ivf_index) and are touched only for the
 # exact rerank of a per-query shortlist.
+
+
+def _write_code_cells(raw_files: list, codes_dir: str, books: np.ndarray,
+                      id_col: str, emb_col: str) -> None:
+    """Encode raw cell files with frozen ``books`` into hive cell
+    partitions under ``codes_dir``, sorted by cell (one file per
+    contiguous cell run) like the raw cells."""
+    pq_encode(read_parquet_clean(raw_files,
+                                 columns=[id_col, emb_col, "cell_id"]),
+              books, id_col=id_col, emb_col=emb_col) \
+        .sort("cell") \
+        .write_parquet(codes_dir, partition_cols=["cell"])
 
 
 def build_ivfpq_index(ds, index_dir: str, *, id_col="vec_id",
@@ -930,11 +867,6 @@ def build_ivfpq_index(ds, index_dir: str, *, id_col="vec_id",
     the raw cells, so the ADC scan phase reads a fraction of the bytes
     even before cell pruning. Returns the manifest dict.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pqt
-
     manifest = build_ivf_index(ds, index_dir, id_col=id_col,
                                emb_col=emb_col, n_centroids=n_centroids,
                                centroids=centroids,
@@ -943,103 +875,12 @@ def build_ivfpq_index(ds, index_dir: str, *, id_col="vec_id",
         codebooks = pq_train(ds, emb_col=emb_col, m=m, n_codes=n_codes,
                              **(train_kwargs or {}))
     codebooks = np.asarray(codebooks)
-    books_ref = ray.put(codebooks)
-
-    cells_dir = os.path.join(index_dir, "cells")
-    files = [os.path.join(r, f) for r, _, fs in os.walk(cells_dir)
-             for f in sorted(fs) if f.endswith(".parquet")]
-    raw = read_parquet_clean(files, columns=[id_col, emb_col,
-                                                "cell_id"])
-
-    class _Encode(PQEncoder):
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            out = PQEncoder.__call__(
-                self, batch.select([id_col, emb_col]))
-            out = out.append_column("cell_id", batch["cell_id"])
-            return out.append_column("cell", batch["cell_id"])
-
-    codes_dir = _fresh_build_dir(index_dir, "codes")
-    raw.map_batches(_Encode,
-                    fn_constructor_kwargs=dict(books_ref=books_ref,
-                                               id_col=id_col,
-                                               emb_col=emb_col),
-                    batch_format="pyarrow", concurrency=(1, 8)) \
-        .sort("cell") \
-        .write_parquet(codes_dir, partition_cols=["cell"])
-
-    mm, kk, sub = codebooks.shape
-    pqt.write_table(
-        pa.table({
-            "subspace": pa.array(np.repeat(np.arange(mm), kk), pa.int32()),
-            "code": pa.array(np.tile(np.arange(kk), mm), pa.int32()),
-            "vec": pa.array(list(codebooks.reshape(mm * kk, sub)),
-                            pa.list_(pa.float64())),
-        }), os.path.join(index_dir, "codebooks.parquet"))
-    manifest.update({"pq_m": int(mm), "pq_codes": int(kk),
-                     "pq_sub": int(sub)})
-    with open(os.path.join(index_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
+    _write_code_cells(
+        _cell_files(index_dir, "cells", range(manifest["n_centroids"])),
+        _fresh_build_dir(index_dir, "codes"), codebooks, id_col, emb_col)
+    manifest.update(_write_codebooks(index_dir, codebooks))
+    _write_manifest(index_dir, manifest)
     return manifest
-
-
-class _IndexedPQScorer:
-    """map_batches stage over code cells: ADC with per-cell query gating
-    (rows score only against queries probing their cell)."""
-
-    def __init__(self, state_ref, id_col, k):
-        st = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) \
-            else state_ref
-        books = st["books"]
-        qmat = st["qmat"]
-        self.qids = st["qids"]
-        self.cell_queries = st["cell_queries"]
-        m, K, sub = books.shape
-        q = qmat.reshape(len(qmat), m, sub)
-        self.lut = np.einsum("qms,mks->qmk", q, books)
-        self.id_col = id_col
-        self.k = k
-        self.m = m
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        ids = batch[self.id_col].to_numpy(zero_copy_only=False)
-        cells = batch["cell_id"].to_numpy(zero_copy_only=False)
-        col = batch["pq_code"]
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        codes = col.flatten().to_numpy(zero_copy_only=False) \
-            .reshape(len(ids), self.m)
-        j_idx = np.arange(self.m)[None, :]
-        rows_q, rows_n, rows_s = [], [], []
-        for cell in np.unique(cells):
-            qidx = self.cell_queries.get(int(cell))
-            if qidx is None or not len(qidx):
-                continue
-            sel = cells == cell
-            sub_codes, sub_ids = codes[sel], ids[sel]
-            for qi in qidx:
-                sims = self.lut[qi][j_idx, sub_codes].sum(axis=1)
-                k = min(self.k, len(sims))
-                part = np.argpartition(-sims, k - 1)[:k]
-                rows_q.append(np.full(k, self.qids[qi]))
-                rows_n.append(sub_ids[part])
-                rows_s.append(sims[part])
-        if not rows_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             "neighbor_id": pa.array([], pa.int64()),
-                             "sim": pa.array([], pa.float64())})
-        return pa.table({
-            "query_id": pa.array(np.concatenate(rows_q)),
-            "neighbor_id": pa.array(np.concatenate(rows_n)),
-            "sim": pa.array(np.concatenate(rows_s)),
-        })
-
-
-def _cell_files(index_dir: str, sub: str, cells) -> list:
-    import os
-
-    dirs = [os.path.join(index_dir, sub, f"cell={c}") for c in cells]
-    return [os.path.join(d, f) for d in dirs if os.path.isdir(d)
-            for f in sorted(os.listdir(d)) if f.endswith(".parquet")]
 
 
 def ann_topk_ivfpq(index_dir: str, queries: dict, *, k=5, nprobe=4,
@@ -1053,107 +894,32 @@ def ann_topk_ivfpq(index_dir: str, queries: dict, *, k=5, nprobe=4,
     ``rerank=False`` returns the pure-ADC ranking (recall measured by
     tests). Only probed cells are read in BOTH phases.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pqt
-
-    with open(os.path.join(index_dir, "manifest.json")) as f:
-        man = json.load(f)
-    cent_t = pqt.read_table(os.path.join(index_dir, "centroids.parquet"))
-    order = np.argsort(cent_t["cell"].to_numpy(zero_copy_only=False))
-    centroids = _embedding_matrix(cent_t.take(order), "centroid")
-    bt = pqt.read_table(os.path.join(index_dir, "codebooks.parquet"))
-    mm, kk, sub = man["pq_m"], man["pq_codes"], man["pq_sub"]
-    border = np.lexsort((bt["code"].to_numpy(zero_copy_only=False),
-                         bt["subspace"].to_numpy(zero_copy_only=False)))
-    books = _embedding_matrix(bt.take(border), "vec").reshape(mm, kk, sub)
-
-    qmat = _normalize(np.asarray(queries["matrix"], np.float64))
-    qids = np.asarray(queries["ids"])
-    nprobe = min(nprobe, len(centroids))
-    probe = np.argsort(-(qmat @ centroids.T), axis=1)[:, :nprobe]
-    cell_queries: dict[int, list] = {}
-    for qi in range(len(qids)):
-        for cell in probe[qi]:
-            cell_queries.setdefault(int(cell), []).append(qi)
-    cell_queries = {c: np.asarray(v) for c, v in cell_queries.items()}
-
-    code_files = _cell_files(index_dir, "codes", sorted(cell_queries))
-    codes_ds = read_parquet_clean(
-        code_files, columns=[man["id_col"], "pq_code", "cell_id"])
-    state = ray.put({"books": books, "qids": qids, "qmat": qmat,
-                     "cell_queries": cell_queries})
-    want = shortlist if rerank else k
-    parts = codes_ds.map_batches(
-        _IndexedPQScorer,
-        fn_constructor_kwargs=dict(state_ref=state, id_col=man["id_col"],
-                                   k=want),
-        batch_format="pyarrow", concurrency=(1, 8))
-
-    def final_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["sim", "neighbor_id"],
-                          ascending=[False, True]).head(want)
-        return g[["query_id", "neighbor_id", "sim"]]
-
-    short = parts.groupby("query_id").map_groups(
-        final_topk, batch_format="pandas").to_pandas()
-
-    if not rerank:
-        out_q, out_n, out_r = [], [], []
-        for qid, g in short.groupby("query_id"):
-            if round_decimals is not None:
-                g = g.assign(sim=np.round(g["sim"], round_decimals))
-            g = g.sort_values(["sim", "neighbor_id"],
-                              ascending=[False, True]).head(k)
-            out_q.append(np.full(len(g), qid))
-            out_n.append(g["neighbor_id"].to_numpy())
-            out_r.append(np.arange(1, len(g) + 1, dtype=np.int64))
-        return pd.DataFrame({"query_id": np.concatenate(out_q),
-                             "neighbor_id": np.concatenate(out_n),
-                             "rank": np.concatenate(out_r)})
-
-    # exact rerank against the RAW cells of the probed partitions only
-    raw_files = _cell_files(index_dir, "cells", sorted(cell_queries))
-    cand_ids = set(short["neighbor_id"].tolist())
-    cand_ref = ray.put(cand_ids)
+    man, centroids, books = _read_index(index_dir)
     id_col, emb_col = man["id_col"], man["emb_col"]
-
-    def keep_cands(t: pa.Table) -> pa.Table:
-        cands = ray.get(cand_ref)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        mask = np.fromiter((v in cands for v in ids), bool, len(ids))
-        return t.filter(pa.array(mask))
-
-    cand_tbl = pa.concat_tables(list(
-        read_parquet_clean(raw_files, columns=[id_col, emb_col])
-        .map_batches(keep_cands, batch_format="pyarrow")
-        .iter_batches(batch_format="pyarrow")))
-    ids = cand_tbl[id_col].to_numpy(zero_copy_only=False)
-    mtx = _normalize(_embedding_matrix(cand_tbl, emb_col))
-    by_query = dict((q, set(g["neighbor_id"]))
-                    for q, g in short.groupby("query_id"))
-    out_q, out_n, out_r = [], [], []
-    for qi, qid in enumerate(qids):
-        sel = np.fromiter((v in by_query.get(qid, ()) for v in ids),
-                          bool, len(ids))
-        sims = mtx[sel] @ qmat[qi]
-        if round_decimals is not None:
-            sims = np.round(sims, round_decimals)
-        cand = ids[sel]
-        order = np.lexsort((cand, -sims))[:k]
-        out_q.append(np.full(len(order), qid))
-        out_n.append(cand[order])
-        out_r.append(np.arange(1, len(order) + 1, dtype=np.int64))
-    return pd.DataFrame({"query_id": np.concatenate(out_q),
-                         "neighbor_id": np.concatenate(out_n),
-                         "rank": np.concatenate(out_r)})
+    qids, qmat = _query_matrix(queries)
+    cell_queries = _probe_cells(qmat, centroids, nprobe)
+    cells = sorted(cell_queries)
+    codes_ds = read_parquet_clean(_cell_files(index_dir, "codes", cells),
+                                  columns=[id_col, "pq_code", "cell_id"])
+    top = _topk(codes_ds, _TopK(qids, shortlist if rerank else k,
+                                round_decimals, id_col=id_col,
+                                lut=_adc_lut(qmat, books),
+                                cell_queries=cell_queries)).to_pandas()
+    if not rerank:
+        return top.sort_values(["query_id", "rank"]) \
+            .reset_index(drop=True)
+    # exact rerank against the RAW cells of the probed partitions only
+    raw = read_parquet_clean(_cell_files(index_dir, "cells", cells),
+                             columns=[id_col, emb_col])
+    return _exact_rerank(raw, top, qids, qmat, id_col=id_col,
+                         emb_col=emb_col, k=k,
+                         round_decimals=round_decimals)
 
 
 def append_to_ivf_index(ds, index_dir: str) -> dict:
     """Append new vectors to a PERSISTED IVF index without retraining
     (standard IVF maintenance): assign each new row to its nearest
-    EXISTING centroid (one broadcast matmul per batch) and write the
+    EXISTING centroid (one matmul per batch) and write the
     rows as additional files inside the matching hive cell partitions.
     Probes see old + new rows immediately; centroids are frozen, so
     repeated appends of drifting data degrade cell balance — the
@@ -1161,21 +927,9 @@ def append_to_ivf_index(ds, index_dir: str) -> dict:
     (max/mean); rebuild with ``build_ivf_index`` when it grows past
     ~4x. One streaming pass, no shuffle, no read of existing cells.
     """
-    import json
-    import os
-
-    import pyarrow.parquet as pqt
-
-    with open(os.path.join(index_dir, "manifest.json")) as f:
-        manifest = json.load(f)
+    manifest, centroids, _ = _read_index(index_dir)
     id_col = manifest["id_col"]
     emb_col = manifest["emb_col"]
-    cent_t = pqt.read_table(os.path.join(index_dir,
-                                         "centroids.parquet"))
-    order = np.argsort(cent_t["cell"].to_numpy(zero_copy_only=False))
-    centroids = _embedding_matrix(cent_t.take(order), "centroid")
-    cent_ref = ray.put(centroids)
-
     cells_dir = os.path.join(index_dir, "cells")
 
     def _file_set():
@@ -1189,7 +943,7 @@ def append_to_ivf_index(ds, index_dir: str) -> dict:
         return seen
 
     before = _file_set()
-    ds.map_batches(_cell_assign_fn(cent_ref, id_col, emb_col),
+    ds.map_batches(_cell_assign_fn(centroids, id_col, emb_col),
                    batch_format="pyarrow") \
         .sort("cell") \
         .write_parquet(cells_dir, partition_cols=["cell"])
@@ -1212,8 +966,7 @@ def append_to_ivf_index(ds, index_dir: str) -> dict:
         counts[c] = counts.get(c, 0) + n
         n_appended += n
     manifest["cell_counts"] = {str(c): n for c, n in counts.items()}
-    with open(os.path.join(index_dir, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
+    _write_manifest(index_dir, manifest)
     vals = np.array(list(counts.values()), np.float64)
     return {
         "n_appended": n_appended,
@@ -1222,20 +975,6 @@ def append_to_ivf_index(ds, index_dir: str) -> dict:
         "imbalance": float(vals.max() / max(vals.mean(), 1.0))
         if len(vals) else 0.0,
     }
-
-
-def _load_codebooks(index_dir: str) -> np.ndarray:
-    import pyarrow.parquet as pqt
-
-    t = pqt.read_table(os.path.join(index_dir, "codebooks.parquet"))
-    sub_i = t["subspace"].to_numpy(zero_copy_only=False)
-    code_i = t["code"].to_numpy(zero_copy_only=False)
-    mm = int(sub_i.max()) + 1
-    kk = int(code_i.max()) + 1
-    vecs = _embedding_matrix(t, "vec")
-    books = np.empty((mm, kk, vecs.shape[1]))
-    books[sub_i, code_i] = vecs
-    return books
 
 
 class AnnIndex:
@@ -1267,13 +1006,10 @@ class AnnIndex:
     rebuild_threshold = 4.0
 
     def __init__(self, index_dir: str):
-        import json as _json
-
         self.index_dir = index_dir
         if not os.path.exists(os.path.join(index_dir, "manifest.json")):
             self._recover_interrupted_rebuild(index_dir)
-        with open(os.path.join(index_dir, "manifest.json")) as f:
-            self.manifest = _json.load(f)
+        self.manifest = _read_manifest(index_dir)
         kind = self.manifest.get("kind")
         if kind is None:  # index built before AnnIndex existed: infer
             has_codes = os.path.isdir(os.path.join(index_dir, "codes"))
@@ -1302,8 +1038,6 @@ class AnnIndex:
     def build(cls, ds, index_dir: str, *, kind: str = "ivf",
               id_col="vec_id", emb_col="embedding", n_centroids=16,
               m=16, n_codes=256, train_kwargs=None) -> "AnnIndex":
-        import json as _json
-
         os.makedirs(index_dir, exist_ok=True)
         if kind == "ivf":
             manifest = build_ivf_index(
@@ -1315,32 +1049,17 @@ class AnnIndex:
                 n_centroids=n_centroids, m=m, n_codes=n_codes,
                 train_kwargs=train_kwargs)
         elif kind == "pq":
-            import pyarrow.parquet as pqt
-
-            books = pq_train(ds, emb_col=emb_col, m=m, n_codes=n_codes,
-                             **(train_kwargs or {}))
-            books = np.asarray(books)
-            codes = pq_encode(ds, books, id_col=id_col, emb_col=emb_col)
-            codes_dir = _fresh_build_dir(index_dir, "codes")
-            codes.write_parquet(codes_dir)
-            mm, kk, sub = books.shape
-            pqt.write_table(
-                pa.table({
-                    "subspace": pa.array(np.repeat(np.arange(mm), kk),
-                                         pa.int32()),
-                    "code": pa.array(np.tile(np.arange(kk), mm),
-                                     pa.int32()),
-                    "vec": pa.array(list(books.reshape(mm * kk, sub)),
-                                    pa.list_(pa.float64())),
-                }), os.path.join(index_dir, "codebooks.parquet"))
+            books = np.asarray(pq_train(ds, emb_col=emb_col, m=m,
+                                        n_codes=n_codes,
+                                        **(train_kwargs or {})))
+            pq_encode(ds, books, id_col=id_col, emb_col=emb_col) \
+                .write_parquet(_fresh_build_dir(index_dir, "codes"))
             manifest = {"id_col": id_col, "emb_col": emb_col,
-                        "pq_m": int(mm), "pq_codes": int(kk),
-                        "pq_sub": int(sub)}
+                        **_write_codebooks(index_dir, books)}
         else:
             raise ValueError(f"unknown index kind {kind!r}")
         manifest["kind"] = kind
-        with open(os.path.join(index_dir, "manifest.json"), "w") as f:
-            _json.dump(manifest, f)
+        _write_manifest(index_dir, manifest)
         return cls(index_dir)
 
     # ---- append -------------------------------------------------------
@@ -1358,39 +1077,16 @@ class AnnIndex:
         plus the post-rebuild imbalance. ivf/ivfpq only (a flat pq
         index stores no raw vectors to retrain from, and has no cells
         to imbalance)."""
-        import json as _json
-
         id_col = self.manifest["id_col"]
         emb_col = self.manifest["emb_col"]
         if self.kind in ("ivf", "ivfpq"):
             stats = append_to_ivf_index(ds, self.index_dir)
             if self.kind == "ivfpq" and stats["new_files"]:
-                books_ref = ray.put(_load_codebooks(self.index_dir))
-                raw = read_parquet_clean(
+                _write_code_cells(
                     stats["new_files"],
-                    columns=[id_col, emb_col, "cell_id"])
-
-                class _Encode(PQEncoder):
-                    def __call__(s, batch: pa.Table) -> pa.Table:
-                        out = PQEncoder.__call__(
-                            s, batch.select([id_col, emb_col]))
-                        out = out.append_column("cell_id",
-                                                batch["cell_id"])
-                        return out.append_column("cell",
-                                                 batch["cell_id"])
-
-                raw.map_batches(
-                    _Encode,
-                    fn_constructor_kwargs=dict(books_ref=books_ref,
-                                               id_col=id_col,
-                                               emb_col=emb_col),
-                    batch_format="pyarrow", concurrency=(1, 8)) \
-                    .sort("cell") \
-                    .write_parquet(os.path.join(self.index_dir, "codes"),
-                                   partition_cols=["cell"])
-            with open(os.path.join(self.index_dir,
-                                   "manifest.json")) as f:
-                self.manifest = _json.load(f)
+                    os.path.join(self.index_dir, "codes"),
+                    _read_index(self.index_dir)[2], id_col, emb_col)
+            self.manifest = _read_manifest(self.index_dir)
             self.manifest["kind"] = self.kind
             if auto_rebuild and self.needs_rebuild(rebuild_threshold):
                 stats["imbalance_before_rebuild"] = self.imbalance()
@@ -1401,7 +1097,7 @@ class AnnIndex:
                 stats["rebuilt"] = False
             return stats
         # flat pq: encode with frozen codebooks, add code files
-        books = _load_codebooks(self.index_dir)
+        books = _read_index(self.index_dir)[2]
         # materialize once: write + count off the same blocks (a lazy
         # count would re-run the whole encode over ds a second time)
         codes = pq_encode(ds, books, id_col=id_col,
@@ -1428,7 +1124,7 @@ class AnnIndex:
         else:
             codes = read_parquet_clean(
                 os.path.join(self.index_dir, "codes"))
-            books = _load_codebooks(self.index_dir)
+            books = _read_index(self.index_dir)[2]
             if rerank and rerank_ds is not None:
                 out = pq_ann_topk_rerank(
                     codes, rerank_ds, queries, books,

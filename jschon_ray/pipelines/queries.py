@@ -2440,15 +2440,23 @@ q_fingerprint_docs.oracle = _FINGERPRINT_SQL
 # embeddings: similarity search
 
 
-def q_ann_topk(sf_dir):
+def _ann_queries(sf_dir) -> dict:
+    """The ANN queries' query set, the one ``_ANN_TOPK_SQL`` ranks
+    against: the embeddings with ``vec_id < 10``."""
     import pyarrow.parquet as pq
 
-    from ..functions.similarity import _embedding_matrix, ann_topk
+    from ..functions.similarity import _embedding_matrix
 
     qt = pq.read_table(table_path(sf_dir, "embeddings"),
                        filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    return {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
+            "matrix": _embedding_matrix(qt, "embedding")}
+
+
+def q_ann_topk(sf_dir):
+    from ..functions.similarity import ann_topk
+
+    queries = _ann_queries(sf_dir)
     ds = read_table(table_path(sf_dir, "embeddings"))
     out = ann_topk(ds, queries, k=5)
     df = finalize(out.to_pandas(), {"query_id": "int64",
@@ -2461,14 +2469,9 @@ def q_ann_topk_ivf(sf_dir):
     """IVF scale path, probed exhaustively (nprobe == n_centroids) so the
     result is bit-identical to the exact scan — shares the ANN oracle.
     Pruned-probe recall is covered by tests/test_dedup_similarity.py."""
-    import pyarrow.parquet as pq
+    from ..functions.similarity import ann_topk_ivf
 
-    from ..functions.similarity import _embedding_matrix, ann_topk_ivf
-
-    qt = pq.read_table(table_path(sf_dir, "embeddings"),
-                       filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    queries = _ann_queries(sf_dir)
     ds = read_table(table_path(sf_dir, "embeddings"))
     out = ann_topk_ivf(ds, queries, k=5, n_centroids=12, nprobe=12)
     df = finalize(out.to_pandas(), {"query_id": "int64",
@@ -2498,9 +2501,7 @@ def q_ann_topk_pq(sf_dir):
     pruned-recall behaviour is covered by tests."""
     import os
 
-    import pyarrow.parquet as pq
-
-    from ..functions.similarity import AnnIndex, _embedding_matrix
+    from ..functions.similarity import AnnIndex
 
     idx = f"/tmp/jschon_ray_pq/{_index_cache_tag(sf_dir)}-m16-u1"
     if not os.path.exists(os.path.join(idx, "manifest.json")):
@@ -2508,10 +2509,7 @@ def q_ann_topk_pq(sf_dir):
         AnnIndex.build(ds, idx, kind="pq", m=16, n_codes=256,
                        train_kwargs=dict(sample_frac=1.0,
                                          max_sample=20000, seed=23))
-    qt = pq.read_table(table_path(sf_dir, "embeddings"),
-                       filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    queries = _ann_queries(sf_dir)
     raw = read_table(table_path(sf_dir, "embeddings"))
     return AnnIndex(idx).probe(queries, k=5, shortlist=50,
                                rerank_ds=raw)
@@ -2527,18 +2525,13 @@ def q_ann_topk_ivf_persisted(sf_dir):
     partitions from storage (functions/similarity.py:build_ivf_index)."""
     import os
 
-    import pyarrow.parquet as pq
-
-    from ..functions.similarity import AnnIndex, _embedding_matrix
+    from ..functions.similarity import AnnIndex
 
     idx = f"/tmp/jschon_ray_ivf/{_index_cache_tag(sf_dir)}-c12-u1"
     if not os.path.exists(os.path.join(idx, "manifest.json")):
         ds = read_table(table_path(sf_dir, "embeddings"))
         AnnIndex.build(ds, idx, kind="ivf", n_centroids=12)
-    qt = pq.read_table(table_path(sf_dir, "embeddings"),
-                       filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    queries = _ann_queries(sf_dir)
     return AnnIndex(idx).probe(queries, k=5, nprobe=12)
 
 
@@ -2551,9 +2544,7 @@ def q_ann_topk_ivfpq(sf_dir):
     oracle. Pruned recall + compression live in tests."""
     import os
 
-    import pyarrow.parquet as pq
-
-    from ..functions.similarity import AnnIndex, _embedding_matrix
+    from ..functions.similarity import AnnIndex
 
     idx = f"/tmp/jschon_ray_ivfpq/{_index_cache_tag(sf_dir)}-c12-m16-u1"
     if not os.path.exists(os.path.join(idx, "codebooks.parquet")):
@@ -2562,10 +2553,7 @@ def q_ann_topk_ivfpq(sf_dir):
                        n_codes=256,
                        train_kwargs=dict(sample_frac=1.0,
                                          max_sample=20000))
-    qt = pq.read_table(table_path(sf_dir, "embeddings"),
-                       filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    queries = _ann_queries(sf_dir)
     return AnnIndex(idx).probe(queries, k=5, nprobe=12, shortlist=50)
 
 
@@ -9757,7 +9745,7 @@ def q_ann_topk_ivf_appended(sf_dir):
 
     import pyarrow.parquet as pq
 
-    from ..functions.similarity import AnnIndex, _embedding_matrix
+    from ..functions.similarity import AnnIndex
 
     idx = f"/tmp/jschon_ray_ivf_app/{_index_cache_tag(sf_dir)}-c12-u1"
     if not os.path.exists(os.path.join(idx, "_appended.ok")):
@@ -9770,10 +9758,7 @@ def q_ann_topk_ivf_appended(sf_dir):
         index.append(_rd.from_arrow(full.slice(half)))
         with open(os.path.join(idx, "_appended.ok"), "w") as f:
             f.write("ok")
-    qt = pq.read_table(table_path(sf_dir, "embeddings"),
-                       filters=[("vec_id", "<", 10)])
-    queries = {"ids": qt["vec_id"].to_numpy(zero_copy_only=False),
-               "matrix": _embedding_matrix(qt, "embedding")}
+    queries = _ann_queries(sf_dir)
     return AnnIndex(idx).probe(queries, k=5, nprobe=12)
 
 

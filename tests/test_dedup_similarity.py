@@ -880,6 +880,66 @@ def test_ann_index_pq_recall_at_nprobe_below_k(ray_session, tmp_path):
     assert hits / tot >= 0.9, f"recall@5 {hits/tot:.2f} at nprobe=2"
 
 
+def _tie_paths(ds, q, k, tmp_path):
+    from jschon_ray.functions.similarity import (ann_topk, ann_topk_ivf,
+                                                 ann_topk_ivf_from_index,
+                                                 ann_topk_ivfpq,
+                                                 build_ivf_index,
+                                                 build_ivfpq_index,
+                                                 pq_ann_topk, pq_encode,
+                                                 pq_train)
+
+    def from_index():
+        build_ivf_index(ds, str(tmp_path), n_centroids=4)
+        return ann_topk_ivf_from_index(str(tmp_path), q, k=k, nprobe=4)
+
+    def flat_pq():
+        books = pq_train(ds, m=4, n_codes=8, sample_frac=1.0)
+        return pq_ann_topk(pq_encode(ds, books), q, books, k=k)
+
+    def ivfpq():
+        build_ivfpq_index(ds, str(tmp_path), n_centroids=4, m=4,
+                          n_codes=8, train_kwargs=dict(sample_frac=1.0))
+        return ann_topk_ivfpq(str(tmp_path), q, k=k, nprobe=4,
+                              rerank=False)
+
+    return {"ann_topk": lambda: ann_topk(ds, q, k=k),
+            "ann_topk_ivf": lambda: ann_topk_ivf(ds, q, k=k, n_centroids=4,
+                                                 nprobe=4),
+            "ann_topk_ivf_from_index": from_index,
+            "pq_ann_topk": flat_pq,
+            "ann_topk_ivfpq": ivfpq}
+
+
+@pytest.mark.parametrize("path", ["ann_topk", "ann_topk_ivf",
+                                  "ann_topk_ivf_from_index", "pq_ann_topk",
+                                  "ann_topk_ivfpq"])
+def test_ann_ties_at_kth_keep_smallest_ids(ray_session, tmp_path, path):
+    """More than k rows of one block tie at the k-th similarity: every ANN
+    path keeps the smallest ids, as the oracle's ORDER BY sim DESC, id
+    does. The tied rows come in descending id order, so a selection that
+    keeps whichever tied rows it meets first returns the largest ids."""
+    import ray.data as rd
+
+    rng = np.random.default_rng(13)
+    v = rng.standard_normal(32)
+    v /= np.linalg.norm(v)
+    dup_ids = np.arange(30, 18, -1)                 # 12 copies of v
+    others = rng.standard_normal((19, 32)) - 3 * v  # far from v
+    m = np.vstack([np.tile(v, (len(dup_ids), 1)), others])
+    t = pa.table({
+        "vec_id": pa.array(np.concatenate([dup_ids, np.arange(19)]),
+                           pa.int64()),
+        "embedding": pa.array([r.astype(np.float32) for r in m],
+                              pa.list_(pa.float32()))})
+    q = _queries_from(t, [0])
+    out = _tie_paths(rd.from_arrow(t), q, 3, tmp_path)[path]()
+    if hasattr(out, "to_pandas"):
+        out = out.to_pandas()
+    got = out.sort_values("rank")["neighbor_id"].tolist()
+    assert got == [19, 20, 21], got
+
+
 def test_segment_dedup_counts_vs_bruteforce(ray_session):
     """Corpus-wide segment (10-word line) dedup counts match a pure-Python
     count over the same segmentation — including an in-document repeat,
