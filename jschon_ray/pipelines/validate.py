@@ -5,7 +5,8 @@ Pipeline shape (SURVEY.md §3.4):
     read (column-pruned, fragment-parallel)
       -> map_batches(validate_batch_fn)      per-row constraint suite, fused
                                              with the read
-      -> [map_batches(ClipDecoder)]          opt-in decode/format checks
+      -> [map_batches(ClipDecoder)]          opt-in decode/format checks,
+                                             fused with both
       -> groupby(clip_id) uniqueness         the one required shuffle
       -> broadcast semi-join vs codec dim    referential (NO shuffle)
       -> verdicts / violations / summary
@@ -20,6 +21,10 @@ Scale notes baked in:
     enter a shuffle (SURVEY.md §7 hard part (e));
   * a large dimension key set is put in the object store once and read per
     actor in __init__, not re-shipped per batch;
+  * the validate and decode stages cut whole read blocks into 4,096- and
+    1,024-row pieces themselves (`stages/taskpool.py::in_pieces`), so
+    their map_batches set no `batch_size` and Ray fuses them with the
+    read: payload bytes are decoded and dropped inside the read task;
   * everything returns lazy Datasets; callers consume via write/iter.
 """
 
@@ -50,9 +55,10 @@ def validate_dataset(ds, spec, *, keep_columns=None):
     The spec is checked against the vspec metaschema once, driver-side,
     before anything compiles (the reference's metaschema step,
     /root/reference/jschon/catalog/__init__.py:191-238). Validation is a
-    STATELESS task function: it fuses with the upstream read, so payload
-    columns never hop through the object store between read and validate,
-    and the compiled plan is cached per worker process."""
+    STATELESS task function with no `batch_size`: it cuts each block into
+    4,096-row pieces itself, so it fuses with the upstream read and
+    payload columns never hop through the object store between read and
+    validate. The compiled plan is cached per worker process."""
     if isinstance(spec, dict):
         from ..vspec.metaschema import validate_spec
 
@@ -61,7 +67,6 @@ def validate_dataset(ds, spec, *, keep_columns=None):
         functools.partial(validate_batch_fn, spec=spec,
                           keep_columns=keep_columns),
         batch_format="pyarrow",
-        batch_size=4096,
     )
 
 
@@ -319,7 +324,8 @@ def clip_verdicts(path, spec):
     discharged from metadata and the column is pruned AT THE READ — at
     100 TB that is the difference between scanning ~1% of the table and
     all of it. Otherwise `bytes` is read and dropped inside the fused
-    read->validate task (it never enters the object store)."""
+    read->validate task (it never enters the object store: the validate
+    stage batches internally, so nothing stops Ray fusing it)."""
     plan = footer_plan(path)
     spec, pruned = discharge_payload_checks(spec, plan, "bytes")
     if pruned:
@@ -366,12 +372,12 @@ def clip_validation_pipeline(clips_path, *, decode=False):
         from ..stages.decode import ClipDecoder
         from ..stages.taskpool import stage_fn
 
-        # task pool, not actors: ClipDecoder's only state is tol_ms, and
-        # the task form lets Ray fuse it with the read->validate stage so
-        # payload bytes never take an object-store hop (taskpool.py)
+        # task pool, not actors, and no batch_size (ClipDecoder cuts its
+        # own 1,024-row pieces): Ray fuses it with the read->validate
+        # stage, so payload bytes never take an object-store hop
+        # (taskpool.py)
         verdicts = validate_dataset(read_table(plan), CLIP_SPEC) \
-            .map_batches(stage_fn(ClipDecoder), batch_format="pyarrow",
-                         batch_size=1024)
+            .map_batches(stage_fn(ClipDecoder), batch_format="pyarrow")
     else:
         verdicts = clip_verdicts(plan, CLIP_SPEC)
     dupes, refv = clip_dataset_checks(plan)

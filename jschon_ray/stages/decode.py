@@ -1,4 +1,4 @@
-"""Audio decode stage: actor-pool map_batches over binary payloads.
+"""Audio decode stage: task-pool map_batches over binary payloads.
 
 The reference's ``format`` keyword concept (opt-in assertion backed by a
 registered validator, /root/reference/jschon/vocabulary/format.py:14-32)
@@ -15,9 +15,10 @@ otherwise payloads carry the deterministic FAKE container written by
 sources/clips.py (b'FAKE<codec>' + s16le PCM) and we decode that, or raise
 NotImplementedError for real compressed data.
 
-Scale notes: bytes-heavy rows -> run with small batch_size (64-256) and
-``concurrency`` sized to the node; PCM arrays never leave the stage (only
-small per-row features do), so blocks stay bounded.
+Scale notes: ClipDecoder takes whole blocks and decodes them in
+``DECODE_ROWS``-row pieces (``taskpool.in_pieces``), so its map_batches
+sets no ``batch_size`` and fuses with the read; PCM arrays never leave
+the stage (only small per-row features do), so blocks stay bounded.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import struct
 
 import numpy as np
 import pyarrow as pa
+
+from .taskpool import in_pieces
 
 try:  # real codec path, absent in this sandbox
     import soundfile  # noqa: F401
@@ -114,9 +117,12 @@ _FAKE_MAGIC_LEN = 12
 
 def _binary_parts(col: pa.Array):
     """(data: np.uint8 view, starts, ends, present) of a Binary/LargeBinary
-    array — zero-copy access to the concatenated payload buffer."""
+    array, or of a chunked one with one non-empty chunk — zero-copy access
+    to that chunk's payload buffer."""
     if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
+        # ClipDecoder.__call__ cuts its pieces at the chunk bounds
+        (col,) = [c for c in col.chunks if len(c)] or \
+            [pa.array([], col.type)]
     buf_validity, buf_offsets, buf_data = col.buffers()
     off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
     offsets = np.frombuffer(buf_offsets, off_dtype)[
@@ -131,8 +137,9 @@ def _binary_parts(col: pa.Array):
 
 
 _STATS_CHUNK = 1 << 19  # bytes of payload per vector group: the working
-# set (int16 view + float64 squares) stays cache-resident — large bulk
+# set (int16 view + int32 squares) stays cache-resident — large bulk
 # temporaries are memory-bandwidth-bound on shared hosts
+_CLIP_SQ = 32767 ** 2   # x*x >= this  <=>  |x| >= 32767
 
 
 def _segment_gather_stats(data: np.ndarray, starts, ends, rows, n,
@@ -154,19 +161,19 @@ def _segment_gather_stats(data: np.ndarray, starts, ends, rows, n,
         seg = [data[starts[k]:ends[k]] for k in range(i, j)]
         packed = np.concatenate(seg) if len(seg) > 1 else seg[0].copy()
         s16 = packed.view("<i2")
-        # fused: int16 -> float64 squares in ONE temporary; clip test in
-        # the int16 domain (|x| >= 32767 == x >= 32767 or x <= -32767,
-        # avoiding abs() overflow on -32768)
-        sq = np.multiply(s16, s16, dtype=np.float64)
-        clip = ((s16 >= 32767) | (s16 <= -32767)).astype(np.int32)
+        # int16 -> int32 squares in ONE temporary (|x| <= 32768, so
+        # x*x <= 2**30 fits, and no abs() overflow on -32768); the clip
+        # test reads the squares; int64 sums are exact, as float64 was
+        sq = np.multiply(s16, s16, dtype=np.int32)
+        clip = sq >= _CLIP_SQ
         glens = (lens[i:j] // 2)
         bounds = np.zeros(j - i + 1, np.int64)
         np.cumsum(glens, out=bounds[1:])
         nonempty = np.nonzero(glens > 0)[0]
         if len(nonempty):
             idx = bounds[:-1][nonempty]
-            seg_sums = np.add.reduceat(sq, idx)
-            seg_clip = np.add.reduceat(clip, idx)
+            seg_sums = np.add.reduceat(sq, idx, dtype=np.int64)
+            seg_clip = np.add.reduceat(clip, idx, dtype=np.int64)
             counts = glens[nonempty].astype(np.float64)
             r = rows[i:j][nonempty]
             rms[r] = np.sqrt(seg_sums / counts)
@@ -174,18 +181,23 @@ def _segment_gather_stats(data: np.ndarray, starts, ends, rows, n,
         i = j
 
 
+DECODE_ROWS = 1024  # rows per decode kernel call
+
+
 class ClipDecoder:
-    """map_batches actor: decode + consistency features per clip.
+    """map_batches stage: decode + consistency features per clip.
 
     Output columns appended: decode_ok:bool, decode_error:string,
     n_frames:int64, measured_dur_ms:float64, rms:float64, clipping_ratio:
     float64. Duration consistency: |measured - declared| <= tol_ms.
 
-    Hot path is fully vectorized: payload slices are addressed through the
-    Arrow binary buffer's offsets (zero copy), canonical WAV headers are
-    parsed as a (rows, 44) uint8 matrix, and sample statistics use one
-    masked gather + reduceat per batch. Rows that do not match a canonical
-    fast path fall back to the per-row decoders for byte-identical errors.
+    A batch is decoded in pieces of at most ``DECODE_ROWS`` rows, each
+    inside one chunk of ``bytes``. Hot path is fully vectorized: payload
+    slices are addressed through that chunk's binary buffer's offsets
+    (zero copy), canonical WAV headers are parsed as a (rows, 44) uint8
+    matrix, and sample statistics use one masked gather + reduceat per
+    piece. Rows that do not match a canonical fast path fall back to the
+    per-row decoders for byte-identical errors.
     """
 
     def __init__(self, tol_ms: float = 1.5):
@@ -220,6 +232,9 @@ class ClipDecoder:
         ok[i] = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
+        return in_pieces(self._decode, batch, DECODE_ROWS, chunks_of="bytes")
+
+    def _decode(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         ok = np.zeros(n, bool)
         err = [None] * n

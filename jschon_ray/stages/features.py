@@ -256,8 +256,9 @@ class PitchEstimator:
 
 def pitch_features(ds, *, concurrency=None, batch_size: int = 512,
                    frame_len: int = 1024):
-    # task pool (see stages/taskpool.py): window-only state, fuses with
-    # the read so payload bytes skip the object-store hop
+    # task pool (see stages/taskpool.py): window-only state. A task pool
+    # fuses with the read only when no batch_size is set; this one sets
+    # one, so payload bytes still take the object-store hop
     from .taskpool import stage_fn
 
     return ds.map_batches(

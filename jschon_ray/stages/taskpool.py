@@ -10,6 +10,13 @@ pool's transfer queue gates throughput (audio_features over 100k clips:
 19-47 s as an actor pool vs 9-15 s as a task pool on the same input —
 the stage's own compute is ~0.5 s).
 
+A task-pool stage fuses with the read only when its ``map_batches`` sets
+no ``batch_size``: Ray does not fuse a row-count-changing upstream (the
+read) with a downstream that asks for a minimum bundle of rows. With a
+``batch_size``, the read's blocks go through the object store and wait in
+Ray's bundler first. A stage that needs a bounded kernel working set
+therefore takes whole blocks and cuts them itself with ``in_pieces``.
+
 ``stage_fn(Cls, **kwargs)`` returns a picklable plain function for
 ``map_batches`` whose instance is constructed ONCE PER WORKER PROCESS
 and cached — the task-pool analogue of actor ``__init__`` state. Use it
@@ -20,6 +27,8 @@ actor pools for heavy-state stages.
 from __future__ import annotations
 
 import functools
+
+import pyarrow as pa
 
 from ..state.allocator import tune_worker_allocator
 
@@ -42,3 +51,22 @@ def stage_fn(cls, **kwargs):
     instance cached per worker process. kwargs must be hashable."""
     return functools.partial(_apply_stage, _cls=cls,
                              _kw=tuple(sorted(kwargs.items())))
+
+
+def in_pieces(fn, batch: pa.Table, rows: int, *, chunks_of=None) -> pa.Table:
+    """``fn`` over zero-copy row slices of ``batch`` of at most ``rows``
+    rows each, outputs concatenated in row order: the stage-side batching
+    that lets a ``map_batches`` stage set no ``batch_size`` and still keep
+    its kernel's working set bounded. With ``chunks_of``, no slice crosses
+    a chunk boundary of that column, so ``fn`` sees it as one Arrow array.
+    ``fn`` must give every piece the same output schema."""
+    bounds = [batch.num_rows] if chunks_of is None else \
+        [len(c) for c in batch[chunks_of].chunks if len(c)]
+    if len(bounds) <= 1 and batch.num_rows <= rows:
+        return fn(batch)
+    out, start = [], 0
+    for size in bounds:
+        out.extend(fn(batch.slice(start + i, min(rows, size - i)))
+                   for i in range(0, size, rows))
+        start += size
+    return pa.concat_tables(out)

@@ -1,8 +1,10 @@
 """Validation stage: a stateless map_batches function over a compiled plan.
 
-`validate_batch_fn` is a plain task function, so Ray fuses it with the
-upstream read (heavy payload columns never hop through the object store
-between read and validate). The declarative spec dict (cheap to pickle)
+`validate_batch_fn` is a plain task function that takes whole blocks and
+cuts them into `CHECK_ROWS`-row pieces itself (`taskpool.in_pieces`), so
+its `map_batches` sets no `batch_size` and Ray fuses it with the upstream
+read: heavy payload columns never hop through the object store between
+read and validate. The declarative spec dict (cheap to pickle)
 ships with each task; each worker process compiles it ONCE per (spec,
 batch schema) and reuses the plan from `_PLAN_CACHE` — the Ray analogue of
 the reference compiling a JSONSchema once and evaluating many instances
@@ -19,6 +21,9 @@ import pyarrow.compute as pc
 from ..state.allocator import tune_worker_allocator
 from ..vspec.catalog import SpecCatalog
 from ..vspec.evaluator import compile_spec
+from .taskpool import in_pieces
+
+CHECK_ROWS = 4096  # rows per plan.check_batch call
 
 
 # Per-worker-process compiled plans, keyed on the WHOLE spec (specs come
@@ -38,10 +43,13 @@ def validate_batch_fn(batch: pa.Table, *, spec, keep_columns=None) -> pa.Table:
         tune_worker_allocator()  # once per worker, before heavy batches
         plan = _PLAN_CACHE[key] = compile_spec(spec, batch.schema,
                                                catalog=SpecCatalog())
-    out = plan.check_batch(batch)
-    if keep_columns is not None:
-        out = out.select(list(keep_columns) + ["valid", "violations"])
-    return out
+    def check(piece: pa.Table) -> pa.Table:
+        out = plan.check_batch(piece)
+        if keep_columns is not None:
+            out = out.select(list(keep_columns) + ["valid", "violations"])
+        return out
+
+    return in_pieces(check, batch, CHECK_ROWS)
 
 
 class ViolationExploder:

@@ -109,7 +109,8 @@ class Instances:
     """A vector of instance cells under evaluation (one per row/element)."""
 
     __slots__ = ("n", "values", "table", "present", "loc", "jt",
-                 "elem_nulls_are_values", "_pylist", "_list_parts")
+                 "elem_nulls_are_values", "_pylist", "_list_parts",
+                 "_fields")
 
     def __init__(self, n, values, table, present, loc, jt,
                  elem_nulls_are_values=False):
@@ -122,6 +123,7 @@ class Instances:
         self.elem_nulls_are_values = elem_nulls_are_values
         self._pylist = None
         self._list_parts = None
+        self._fields = {}
 
     @classmethod
     def from_table(cls, table: pa.Table) -> "Instances":
@@ -135,10 +137,17 @@ class Instances:
         return [f.name for f in self.values.type]
 
     def field(self, name) -> pa.Array:
-        if self.table is not None:
-            col = self.table.column(name)
-            return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-        arr = self.values.field(name)
+        """One field as a single array, built once per Instances: a table
+        column's chunks are combined on first use, not on every call."""
+        arr = self._fields.get(name)
+        if arr is None:
+            if self.table is not None:
+                arr = self.table.column(name)
+                if isinstance(arr, pa.ChunkedArray):
+                    arr = arr.combine_chunks()
+            else:
+                arr = self.values.field(name)
+            self._fields[name] = arr
         return arr
 
     def field_present(self, name) -> np.ndarray:
@@ -1589,6 +1598,7 @@ class DependentSchemasCKw(CKw):
                 continue
             gated = Instances(inst.n, inst.values, inst.table, tp,
                               inst.loc, inst.jt)
+            gated._fields = inst._fields  # same cells, same fields
             out = sub.evaluate(gated)
             fail = ~out.valid & tp
             if fail.any():
@@ -1771,6 +1781,7 @@ class ElseCKw(CKw):
 def _gate(inst: Instances, mask: np.ndarray) -> Instances:
     g = Instances(inst.n, inst.values, inst.table, mask & inst.present,
                   inst.loc, inst.jt, inst.elem_nulls_are_values)
+    g._fields = inst._fields  # same cells, same fields
     return g
 
 

@@ -105,3 +105,37 @@ def test_large_binary_and_sliced_batches():
                       t["bytes"].cast(pa.large_binary()))
     compare(lb)
     compare(t.slice(100, 250))  # non-zero array offsets
+
+
+def test_two_chunk_payload_with_extreme_samples():
+    """A `bytes` column of two chunks (the decoder addresses each chunk's
+    buffer in place) whose samples hit +-32767 and -32768: the int32
+    squares and the clip test on them match the per-row decode."""
+    samples = [
+        np.array([0, 32767, -32767, -32768, 5], "<i2"),
+        np.full(7, -32768, "<i2"),
+        np.array([32767] * 3 + [1, -1], "<i2"),
+        np.array([100, -100, 32766, -32766], "<i2"),
+        np.zeros(0, "<i2"),
+        np.array([-32768, 32767], "<i2"),
+    ]
+    payloads = [s.tobytes() for s in samples]
+    payloads[2] = b"FAKE" + b"flac".ljust(8, b"\0") + payloads[2]
+    codecs = ["pcm_s16le", "pcm_s16le", "flac", "pcm_s16le", "pcm_s16le",
+              "pcm_s16le"]
+    sr = 1000  # 1 ms per frame, so every duration is declared exactly
+    durs = [len(s) for s in samples]
+    chunks = [pa.array(payloads[:3], pa.binary()),
+              pa.array(payloads[3:], pa.binary())]
+    batch = pa.table({
+        "clip_id": [f"clip-{i}" for i in range(len(samples))],
+        "bytes": pa.chunked_array(chunks),
+        "sr_hz": pa.array([sr] * len(samples), pa.int32()),
+        "dur_ms": pa.array(durs, pa.int32()),
+        "codec": codecs,
+    })
+    assert batch["bytes"].num_chunks == 2
+    compare(batch)
+    out = ClipDecoder()(batch)
+    assert out["clipping_ratio"].to_pylist()[:4] == [0.6, 1.0, 0.6, 0.0]
+    assert out["rms"].to_pylist()[1] == 32768.0

@@ -78,6 +78,23 @@ def test_decode_stage_in_pipeline(clips_dir, ray_session):
     assert df["decode_ok"].sum() > 0.6 * len(df)
 
 
+def test_verdict_pass_is_one_fused_read_task(clips_dir, ray_session):
+    """The verdict pass runs as ONE operator chain starting at the read:
+    validate (and decode) set no batch_size, so Ray fuses them with
+    ReadParquet and the payload is decoded and dropped inside the read
+    task instead of crossing the object store."""
+    import re
+
+    want = {False: "ReadParquet->MapBatches(validate_batch_fn)",
+            True: "ReadParquet->MapBatches(validate_batch_fn)"
+                  "->MapBatches(_apply_stage)"}
+    for decode, chain in want.items():
+        ds = clip_validation_pipeline(clips_dir, decode=decode)["verdicts"]
+        names = re.findall(r"^Operator \d+ (\S+): ", ds.materialize().stats(),
+                           re.M)
+        assert names == [chain], (decode, names)
+
+
 def test_uniqueness_on_unique_keys(ray_session, tmp_path):
     t = generate_clips(100, seed=9, dirty=False)
     import ray.data as rd
