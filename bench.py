@@ -269,13 +269,12 @@ def _decode_only(clips_dir):
 
 def _features_only(clips_dir):
     def features():
-        from jschon_ray.sources.io import cluster_cpus, read_table
+        from jschon_ray.sources.io import read_table
         from jschon_ray.stages.features import audio_features
 
         ds = read_table(clips_dir, columns=["clip_id", "bytes", "sr_hz",
                                             "codec"])
-        return audio_features(ds, batch_size=512,
-                              concurrency=(1, cluster_cpus())).count()
+        return audio_features(ds).count()
 
     return features
 

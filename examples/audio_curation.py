@@ -54,18 +54,16 @@ def main():
 
     # 2. QC -> keep only passing clips (payload kept for the chain)
     qc = clips.map_batches(stage_fn(AudioQC, keep_bytes=True),
-                           batch_format="pyarrow", batch_size=128)
+                           batch_format="pyarrow")
     kept = qc.filter(expr="qc_pass == True") \
         .select_columns(["clip_id", "bytes", "sr_hz", "codec"])
     out["qc"] = {"in": 600, "kept": kept.count()}
 
     # 3-5. trim -> compress -> canonical wav
     prepped = kept.map_batches(stage_fn(SilenceTrimmer),
-                               batch_format="pyarrow", batch_size=128) \
-        .map_batches(stage_fn(Compressor), batch_format="pyarrow",
-                     batch_size=128) \
-        .map_batches(stage_fn(WavWriter), batch_format="pyarrow",
-                     batch_size=128)
+                               batch_format="pyarrow") \
+        .map_batches(stage_fn(Compressor), batch_format="pyarrow") \
+        .map_batches(stage_fn(WavWriter), batch_format="pyarrow")
     wav_ok = prepped.filter(expr="wav_ok == True") \
         .select_columns(["clip_id", "bytes", "sr_hz", "codec"]) \
         .materialize()
@@ -74,7 +72,7 @@ def main():
     # 6. chunk into 100ms windows, 50ms hop
     chunks = wav_ok.map_batches(
         stage_fn(AudioChunker, chunk_ms=100, hop_ms=50),
-        batch_format="pyarrow", batch_size=128)
+        batch_format="pyarrow")
 
     # 7. mel-mean embeddings per chunk (resample first: constant rate)
     def chunk_key(t: pa.Table) -> pa.Table:
@@ -85,9 +83,9 @@ def main():
 
     mels = chunks.map_batches(chunk_key, batch_format="pyarrow") \
         .map_batches(stage_fn(AudioResampler, target_sr=16000),
-                     batch_format="pyarrow", batch_size=128) \
+                     batch_format="pyarrow") \
         .map_batches(stage_fn(MelSpectrogram, sr=16000),
-                     batch_format="pyarrow", batch_size=128) \
+                     batch_format="pyarrow") \
         .filter(expr="mel_ok == True") \
         .select_columns(["clip_id", "mel_mean"]).materialize()
     out["chunks_embedded"] = mels.count()

@@ -40,7 +40,7 @@ def main():
     print(f"query landmarks: {query_landmarks.num_rows}")
 
     corpus = ray.data.from_arrow(table).map_batches(
-        stage_fn(AudioFingerprinter), batch_format="pyarrow", batch_size=64)
+        stage_fn(AudioFingerprinter), batch_format="pyarrow")
     hits = fingerprint_lookup(corpus, query_landmarks,
                               min_matches=40).to_pandas()
     hits = hits.sort_values(["query_id", "clip_id"]).reset_index(drop=True)

@@ -89,7 +89,7 @@ def main():
     clips, truth = generate_fp_clips(300, seed=3)
     lm = ray.data.from_arrow(clips.select(["clip_id", "bytes", "codec"])) \
         .map_batches(stage_fn(AudioFingerprinter),
-                     batch_format="pyarrow", batch_size=64)
+                     batch_format="pyarrow")
     pairs = fingerprint_match_pairs(lm, min_matches=40).to_pandas()
     out["fingerprint"] = {"n_pairs": len(pairs),
                           "planted": len(truth),

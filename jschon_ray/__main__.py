@@ -142,7 +142,7 @@ def cmd_fingerprint(args) -> dict:
     ds = read_table(args.input, format=args.input_format,
                     columns=[args.id_col, "bytes", "codec"])
     lm = ds.map_batches(stage_fn(AudioFingerprinter, id_col=args.id_col),
-                        batch_format="pyarrow", batch_size=128)
+                        batch_format="pyarrow")
     # pairs stay a lazy Dataset: written straight to the sink (or
     # counted) without driver materialization
     pairs = fingerprint_match_pairs(lm, min_matches=args.min_matches)
@@ -218,8 +218,7 @@ def cmd_audio_qc(args) -> dict:
 
     ds = read_table(args.input, format=args.input_format,
                     columns=["clip_id", "bytes", "sr_hz", "codec"])
-    qc = ds.map_batches(stage_fn(AudioQC), batch_format="pyarrow",
-                        batch_size=256)
+    qc = ds.map_batches(stage_fn(AudioQC), batch_format="pyarrow")
     if args.output:
         write_table(qc, args.output)
         qc = read_table(args.output)
@@ -237,11 +236,9 @@ def cmd_audio_prep(args) -> dict:
     ds = read_table(args.input, format=args.input_format,
                     columns=["clip_id", "bytes", "sr_hz", "codec"])
     out = ds.map_batches(stage_fn(SilenceTrimmer),
-                         batch_format="pyarrow", batch_size=256) \
-        .map_batches(stage_fn(Compressor), batch_format="pyarrow",
-                     batch_size=256) \
-        .map_batches(stage_fn(WavWriter), batch_format="pyarrow",
-                     batch_size=256)
+                         batch_format="pyarrow") \
+        .map_batches(stage_fn(Compressor), batch_format="pyarrow") \
+        .map_batches(stage_fn(WavWriter), batch_format="pyarrow")
     if args.output:
         write_table(out, args.output)
         out = read_table(args.output)
@@ -261,7 +258,7 @@ def cmd_audio_chunk(args) -> dict:
     chunks = ds.map_batches(
         stage_fn(AudioChunker, chunk_ms=args.chunk_ms,
                  hop_ms=args.hop_ms),
-        batch_format="pyarrow", batch_size=256)
+        batch_format="pyarrow")
     if args.output:
         write_table(chunks, args.output)
         chunks = read_table(args.output)

@@ -372,10 +372,10 @@ def clip_validation_pipeline(clips_path, *, decode=False):
         from ..stages.decode import ClipDecoder
         from ..stages.taskpool import stage_fn
 
-        # task pool, not actors, and no batch_size (ClipDecoder cuts its
-        # own 1,024-row pieces): Ray fuses it with the read->validate
-        # stage, so payload bytes never take an object-store hop
-        # (taskpool.py)
+        # task pool, not actors, and no batch_size (stage_fn cuts
+        # ClipDecoder.PIECE_ROWS-row pieces): Ray fuses it with the
+        # read->validate stage, so payload bytes never take an
+        # object-store hop (taskpool.py)
         verdicts = validate_dataset(read_table(plan), CLIP_SPEC) \
             .map_batches(stage_fn(ClipDecoder), batch_format="pyarrow")
     else:

@@ -16,7 +16,7 @@ operators a training-data curation pipeline runs after decode:
 
 All are `map_batches` stages in the same deployment shape as
 AudioFeatures / MelSpectrogram (stages/features.py, stages/audio_ops.py):
-cheap derived state built once per worker (stage_fn / actor __init__),
+cheap derived state built once per worker (stages/taskpool.py stage_fn),
 sample-level math batched into ONE numpy call per batch via concat +
 reduceat, per-clip Python work limited to decode and tiny
 envelope-length arrays.
@@ -70,8 +70,7 @@ class AudioQC:
     the globally stacked frames. The only per-clip Python work is the
     decode and an O(n_frames) sort for the noise-floor quantile.
 
-    Use: ds.map_batches(stage_fn(AudioQC), batch_format="pyarrow",
-                        batch_size=256)
+    Use: ds.map_batches(stage_fn(AudioQC), batch_format="pyarrow")
     """
 
     QC_COLUMNS = ("qc_ok", "clip_ratio", "silence_ratio", "dc_offset",
@@ -387,17 +386,20 @@ class TimeStretcher:
 
     rate > 1 lengthens, rate < 1 shortens (output_len ~= input_len *
     rate). Synthesis hop Hs = frame_len/4; analysis hop Ha =
-    round(Hs / rate). Phase propagation (the per-frame cumulative sum
-    of instantaneous frequencies) is vectorized across ALL clips of
-    the batch with a segmented cumsum — global np.cumsum of phase
-    increments minus the per-clip offset at each segment start — so
-    the batch does ONE rfft, ONE cumsum, and ONE irfft; the only
-    per-clip loop is the WOLA overlap-add (one fused np.add.at per
-    clip), same shape as NoiseReducer (audio_ops.py).
+    round(Hs / rate). The batch does ONE rfft and ONE irfft over the
+    frames of all its clips. Phase propagation (the per-frame cumulative
+    sum of instantaneous frequencies) is one np.cumsum per clip over
+    that clip's frames alone, so a clip's output does not depend on the
+    clips batched with it; the other per-clip loop is the WOLA
+    overlap-add, same shape as NoiseReducer (audio_ops.py).
 
     Re-emits raw s16le payloads (codec='pcm_s16le') with updated
     dur_ms, chainable before any downstream feature stage.
     """
+
+    # the STFT keeps about ten frames x bins float64/complex arrays per
+    # clip, ~150x its s16 PCM: half the default piece
+    PIECE_ROWS = 128
 
     def __init__(self, rate: float = 1.25, frame_len: int = 512):
         if rate <= 0:
@@ -460,13 +462,13 @@ class TimeStretcher:
             inst = self.omega + dphi / Ha                 # rad/sample
             inc = Hs * inst                               # per-frame add
             inc[offs] = 0.0
-            # segmented cumsum: global cumsum minus the running value
-            # at each clip's start, plus that clip's initial phase
-            g = np.cumsum(inc, axis=0)
-            start_g = np.repeat(g[offs], np.asarray(counts), axis=0)
-            start_p = np.repeat(phase[offs], np.asarray(counts),
-                                axis=0)
-            syn_phase = start_p + (g - start_g)
+            # each clip's phase starts at its first frame's and sums only
+            # its own increments: a cumsum over the whole batch would
+            # round each clip's phase by the clips before it
+            syn_phase = np.empty_like(inc)
+            for s, c in zip(offs, counts):
+                syn_phase[s:s + c] = phase[s] + np.cumsum(inc[s:s + c],
+                                                          axis=0)
             Y = mag * np.exp(1j * syn_phase)
             y = np.fft.irfft(Y, n=L, axis=1) * self.window
 
@@ -783,6 +785,8 @@ class PitchShifter:
     stretch-then-resample composition, reusing TimeStretcher's batched
     kernels. Re-emits s16le payloads.
     """
+
+    PIECE_ROWS = TimeStretcher.PIECE_ROWS  # runs TimeStretcher's STFT
 
     def __init__(self, semitones: float = 2.0, frame_len: int = 512):
         self.semitones = float(semitones)

@@ -1,10 +1,10 @@
 """Audio transform stages: resampling and energy-based VAD segmentation.
 
 Real DSP on the decodable codecs (pcm_s16le / wav / deterministic fakes —
-stages/decode.py), no external audio libraries. Both run as actor-pool
-`map_batches` stages with bytes-bounded batches, the same deployment shape
-as ClipDecoder / AudioFeatures (the reference's expensive opt-in `format`
-assertion recast as pipeline stages,
+stages/decode.py), no external audio libraries. Every stage here runs as
+a task-pool `map_batches` stage (`stages/taskpool.py::stage_fn`), the
+same deployment shape as ClipDecoder / AudioFeatures (the reference's
+expensive opt-in `format` assertion recast as pipeline stages,
 /root/reference/jschon/vocabulary/format.py:14-32).
 
 Vectorization notes: per clip the hot work is pure numpy vector math
@@ -31,9 +31,8 @@ class AudioResampler:
     resample_ok, resample_error. Failed decodes keep their original
     payload with resample_ok=false.
 
-    Use: ds.map_batches(AudioResampler, batch_format="pyarrow",
-                        batch_size=256, concurrency=N,
-                        fn_constructor_kwargs=dict(target_sr=16000))
+    Use: ds.map_batches(stage_fn(AudioResampler, target_sr=16000),
+                        batch_format="pyarrow")
     """
 
     def __init__(self, target_sr: int = 16000):
@@ -202,7 +201,7 @@ class VADSegments:
 def mel_filterbank(sr: int, n_fft: int, n_mels: int,
                    fmin: float = 0.0, fmax: float | None = None) -> np.ndarray:
     """Triangular mel filterbank (HTK mel scale), (n_mels, n_fft//2+1).
-    Pure numpy; built once per actor."""
+    Pure numpy; built once per worker."""
     fmax = fmax or sr / 2.0
 
     def to_mel(hz):
@@ -229,7 +228,7 @@ class MelSpectrogram:
     operators (ANN top-k, embedding near-dup).
 
     Requires a CONSTANT sample rate (the mel bank is sr-specific and built
-    once per actor): run AudioResampler(target_sr) first; rows at any
+    once per worker): run AudioResampler(target_sr) first; rows at any
     other rate get mel_ok=false. One `rfft` + one matmul per batch; per-
     clip pooling via add.reduceat — no per-frame Python loop.
     """
@@ -441,9 +440,9 @@ class MFCC:
     (n_frames x n_mels) + `mel_frames` + `mel_ok`) — NO re-decode; payload
     bytes were already dropped upstream, so this stage moves only feature
     floats. The DCT matrix is built once per worker; per batch the work is
-    one matmul over all frames of all clips plus `np.add.reduceat`
-    mean/std pooling (no per-frame Python loop — the MelSpectrogram
-    recipe). Cepstra are computed from the log10-mel energies the mel
+    one multiply-add per mel band over all frames of all clips plus
+    `np.add.reduceat` mean/std pooling (no per-frame Python loop — the
+    MelSpectrogram recipe). Cepstra are computed from the log10-mel energies the mel
     stage emits (a constant ln(10) scale vs natural-log HTK cepstra;
     deterministic and documented rather than silently rescaled).
 
@@ -485,7 +484,12 @@ class MFCC:
 
         if rows:
             stack = np.concatenate(mats)            # (frames, n_mels)
-            cep = stack @ self.dct.T                # (frames, n_mfcc)
+            # the DCT as mel-ordered multiply-adds, not a BLAS matmul:
+            # BLAS rounds a row by where it sits in the stack, which
+            # would make a clip's cepstra depend on its batch neighbours
+            cep = np.zeros((len(stack), self.n_mfcc))  # (frames, n_mfcc)
+            for j in range(self.n_mels):
+                cep += stack[:, j, None] * self.dct[:, j]
             offsets = np.zeros(len(rows), np.int64)
             np.cumsum(counts[:-1], out=offsets[1:])
             cnt = np.asarray(counts, np.float64)[:, None]

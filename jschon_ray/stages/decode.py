@@ -15,10 +15,11 @@ otherwise payloads carry the deterministic FAKE container written by
 sources/clips.py (b'FAKE<codec>' + s16le PCM) and we decode that, or raise
 NotImplementedError for real compressed data.
 
-Scale notes: ClipDecoder takes whole blocks and decodes them in
-``DECODE_ROWS``-row pieces (``taskpool.in_pieces``), so its map_batches
-sets no ``batch_size`` and fuses with the read; PCM arrays never leave
-the stage (only small per-row features do), so blocks stay bounded.
+Scale notes: ClipDecoder runs through ``taskpool.stage_fn``, which
+decodes whole blocks in ``ClipDecoder.PIECE_ROWS``-row pieces, so its
+map_batches sets no ``batch_size`` and fuses with the read; PCM arrays
+never leave the stage (only small per-row features do), so blocks stay
+bounded.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import struct
 
 import numpy as np
 import pyarrow as pa
-
-from .taskpool import in_pieces
 
 try:  # real codec path, absent in this sandbox
     import soundfile  # noqa: F401
@@ -117,12 +116,13 @@ _FAKE_MAGIC_LEN = 12
 
 def _binary_parts(col: pa.Array):
     """(data: np.uint8 view, starts, ends, present) of a Binary/LargeBinary
-    array, or of a chunked one with one non-empty chunk — zero-copy access
-    to that chunk's payload buffer."""
+    array — zero-copy access to its payload buffer. A chunked one is
+    combined first, a copy only when it has several non-empty chunks
+    (the stage path cuts its pieces at the chunk bounds, ClipDecoder.
+    PIECE_CHUNKS_OF)."""
     if isinstance(col, pa.ChunkedArray):
-        # ClipDecoder.__call__ cuts its pieces at the chunk bounds
-        (col,) = [c for c in col.chunks if len(c)] or \
-            [pa.array([], col.type)]
+        chunks = [c for c in col.chunks if len(c)]
+        col = chunks[0] if len(chunks) == 1 else col.combine_chunks()
     buf_validity, buf_offsets, buf_data = col.buffers()
     off_dtype = np.int64 if pa.types.is_large_binary(col.type) else np.int32
     offsets = np.frombuffer(buf_offsets, off_dtype)[
@@ -181,9 +181,6 @@ def _segment_gather_stats(data: np.ndarray, starts, ends, rows, n,
         i = j
 
 
-DECODE_ROWS = 1024  # rows per decode kernel call
-
-
 class ClipDecoder:
     """map_batches stage: decode + consistency features per clip.
 
@@ -191,14 +188,19 @@ class ClipDecoder:
     n_frames:int64, measured_dur_ms:float64, rms:float64, clipping_ratio:
     float64. Duration consistency: |measured - declared| <= tol_ms.
 
-    A batch is decoded in pieces of at most ``DECODE_ROWS`` rows, each
-    inside one chunk of ``bytes``. Hot path is fully vectorized: payload
-    slices are addressed through that chunk's binary buffer's offsets
-    (zero copy), canonical WAV headers are parsed as a (rows, 44) uint8
-    matrix, and sample statistics use one masked gather + reduceat per
-    piece. Rows that do not match a canonical fast path fall back to the
+    As a stage, a block is decoded in pieces of at most ``PIECE_ROWS``
+    rows, each inside one chunk of ``bytes``. Hot path is fully
+    vectorized: payload slices are addressed through that chunk's binary
+    buffer's offsets (zero copy), canonical WAV headers are parsed as a
+    (rows, 44) uint8 matrix, and sample statistics use one masked gather
+    + reduceat per piece. Rows that do not match a canonical fast path fall back to the
     per-row decoders for byte-identical errors.
     """
+
+    # the sample gather is bounded by _STATS_CHUNK bytes, not by rows, so
+    # larger pieces only spread the per-call cost over more rows
+    PIECE_ROWS = 1024
+    PIECE_CHUNKS_OF = "bytes"  # _binary_parts reads one chunk in place
 
     def __init__(self, tol_ms: float = 1.5):
         self.tol_ms = tol_ms
@@ -232,9 +234,6 @@ class ClipDecoder:
         ok[i] = True
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return in_pieces(self._decode, batch, DECODE_ROWS, chunks_of="bytes")
-
-    def _decode(self, batch: pa.Table) -> pa.Table:
         n = batch.num_rows
         ok = np.zeros(n, bool)
         err = [None] * n

@@ -1,4 +1,4 @@
-"""Audio feature extraction: framed-FFT spectral features as an actor stage.
+"""Audio feature extraction: framed-FFT spectral features as a task-pool stage.
 
 The training-data-pipeline companion to `stages/decode.py`'s consistency
 checks: per clip, decode PCM and compute zero-crossing rate, energy, and
@@ -13,9 +13,8 @@ payload decode (shared with ClipDecoder's semantics, decode.py:81-90).
 
 Analogue of the reference's opt-in `format` assertion stage
 (/root/reference/jschon/vocabulary/format.py:14-32): an expensive,
-stateful, payload-reading check that runs as its own actor-pool
-map_batches stage with a small batch size, never inside the scalar
-predicate pass and never ahead of a shuffle.
+payload-reading check that runs as its own map_batches stage, never
+inside the scalar predicate pass and never ahead of a shuffle.
 """
 
 from __future__ import annotations
@@ -24,19 +23,20 @@ import numpy as np
 import pyarrow as pa
 
 from .decode import DecodeError, decode_clip
+from .taskpool import stage_fn
 
 FEATURE_COLUMNS = ("feat_ok", "zcr", "energy_db", "spec_centroid_hz",
                    "spec_bandwidth_hz", "spec_rolloff_hz", "spec_flatness")
 
 
 class AudioFeatures:
-    """map_batches actor appending the FEATURE_COLUMNS.
+    """map_batches stage appending the FEATURE_COLUMNS.
 
     Clips shorter than one frame are zero-padded to a single frame;
     undecodable or empty clips get feat_ok=False and NaN features.
 
-    Use: ds.map_batches(AudioFeatures, batch_format="pyarrow",
-                        batch_size=512, concurrency=N)
+    Use: audio_features(ds), or ds.map_batches(stage_fn(AudioFeatures),
+                                               batch_format="pyarrow")
     """
 
     def __init__(self, frame_len: int = 512, rolloff: float = 0.85,
@@ -132,24 +132,12 @@ class AudioFeatures:
         return out
 
 
-def audio_features(ds, *, concurrency=None, batch_size: int = 512,
-                   frame_len: int = 512, use_actors: bool = False):
-    """Feature stage. Task pool by default — AudioFeatures' state is a
-    512-float window, and the actor boundary measurably dominated the
-    stage (see stages/taskpool.py); pass use_actors=True to get the
-    actor-pool form (e.g. when subclassing with heavy state)."""
-    if use_actors:
-        from ..pipelines.validate import default_concurrency
-
-        return ds.map_batches(
-            AudioFeatures, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=concurrency or default_concurrency(),
-            fn_constructor_kwargs={"frame_len": frame_len})
-    from .taskpool import stage_fn
-
-    return ds.map_batches(
-        stage_fn(AudioFeatures, frame_len=frame_len),
-        batch_format="pyarrow", batch_size=batch_size)
+def audio_features(ds, *, frame_len: int = 512):
+    """Feature stage as a task pool: AudioFeatures' state is a 512-float
+    window, and the actor boundary measurably dominated the stage (see
+    stages/taskpool.py)."""
+    return ds.map_batches(stage_fn(AudioFeatures, frame_len=frame_len),
+                          batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +154,8 @@ class PitchEstimator:
     autocorrelation exceeds `voiced_threshold`. Per clip: median F0 over
     voiced frames (`f0_hz`, NaN if none) + `voiced_ratio` + `pitch_ok`.
 
-    Same actor-stage posture as AudioFeatures (payload-reading, small
-    batches, setup in __init__ — the reference's opt-in `format`
+    Same stage posture as AudioFeatures (payload-reading, cut into
+    pieces, setup in __init__ — the reference's opt-in `format`
     assertion concept, /root/reference/jschon/vocabulary/format.py:14-32,
     as an expensive stateful stage).
     """
@@ -254,16 +242,10 @@ class PitchEstimator:
         return out
 
 
-def pitch_features(ds, *, concurrency=None, batch_size: int = 512,
-                   frame_len: int = 1024):
-    # task pool (see stages/taskpool.py): window-only state. A task pool
-    # fuses with the read only when no batch_size is set; this one sets
-    # one, so payload bytes still take the object-store hop
-    from .taskpool import stage_fn
-
-    return ds.map_batches(
-        stage_fn(PitchEstimator, frame_len=frame_len),
-        batch_format="pyarrow", batch_size=batch_size)
+def pitch_features(ds, *, frame_len: int = 1024):
+    # task pool (see stages/taskpool.py): window-only state
+    return ds.map_batches(stage_fn(PitchEstimator, frame_len=frame_len),
+                          batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,7 @@ class AudioFingerprinter:
     one per clip: downstream matching is a plain groupby over `fp_hash`.
     Undecodable / empty / silent clips simply emit no rows.
 
-    Use: ds.map_batches(stage_fn(AudioFingerprinter), batch_format="pyarrow",
-                        batch_size=256)  # light state -> task pool
+    Use: ds.map_batches(stage_fn(AudioFingerprinter), batch_format="pyarrow")
     """
 
     def __init__(self, frame_len: int = 1024, peaks_per_frame: int = 3,

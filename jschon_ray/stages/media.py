@@ -1,9 +1,11 @@
-"""Multimodal (image / video) actor-pool stages over opaque binary columns.
+"""Multimodal (image / video) task-pool stages over opaque binary columns.
 
 The engine treats media exactly as it treats audio (`stages/decode.py`):
 an opaque ``bytes`` column plus typed metadata columns, decoded inside
-actor-pool ``map_batches`` stages with small batch sizes so
-``batch_size x concurrency x payload`` stays inside a worker heap.
+``map_batches`` stages that cut their blocks into pieces
+(`stages/taskpool.py`); the stages whose output carries more pixels than
+their input take smaller pieces, so ``piece rows x payload`` stays
+inside a worker heap.
 
 Formats:
   * ``raw`` images — width x height x channels uint8, C order — and
@@ -14,7 +16,7 @@ Formats:
     ``MediaCodecUnavailable`` (a ``NotImplementedError``) unless the
     stage is constructed with ``deterministic_fake=True``, in which case
     a content-hash-seeded fake frame of the declared shape is produced so
-    the downstream Ray plumbing (schemas, batch sizing, actor signatures,
+    the downstream Ray plumbing (schemas, piece sizing, stage signatures,
     output layout) is exercised end to end.
 
 Expected schemas (input_hint style, media analogue of the clips table):
@@ -37,6 +39,8 @@ import hashlib
 import numpy as np
 import pyarrow as pa
 
+from .taskpool import stage_fn
+
 RAW_IMAGE_FORMATS = ("raw",)
 RAW_VIDEO_FORMATS = ("rawvideo",)
 
@@ -44,7 +48,7 @@ RAW_VIDEO_FORMATS = ("rawvideo",)
 class MediaCodecUnavailable(NotImplementedError):
     """Compressed-media codec not present in this environment (STUB).
 
-    The decode *plumbing* (schema, actor pool, batching) is real; only
+    The decode *plumbing* (schema, stage, piece cutting) is real; only
     the codec call itself is unavailable. On a cluster image with
     PIL / pyav installed, register a real decoder via
     ``register_image_codec`` and this error disappears.
@@ -125,16 +129,15 @@ def nearest_resize(img: np.ndarray, out_w: int, out_h: int) -> np.ndarray:
 
 
 class ImageDecoder:
-    """map_batches actor: decode images + per-image features.
+    """map_batches stage: decode images + per-image features.
 
     Appends: decode_ok:bool, decode_error:string, px_mean:float64,
     px_std:float64, channel_mean:list<float64>, hist8:list<int64>
     (8-bin luminance histogram). Payload column is dropped unless
     ``keep_bytes=True`` — features, not pixels, flow downstream.
 
-    Use: ds.map_batches(ImageDecoder, concurrency=N, batch_size=64,
-                        batch_format="pyarrow",
-                        fn_constructor_kwargs={...})
+    Use: image_features(ds), or
+         ds.map_batches(stage_fn(ImageDecoder, ...), batch_format="pyarrow")
     """
 
     def __init__(self, *, deterministic_fake: bool = False,
@@ -181,12 +184,14 @@ class ImageDecoder:
 
 
 class ImageResizer:
-    """map_batches actor: decode -> nearest-neighbor resize -> raw bytes.
+    """map_batches stage: decode -> nearest-neighbor resize -> raw bytes.
 
     Output keeps the input schema with bytes/width/height replaced and
     format forced to 'raw'; undecodable rows pass through with
     resize_ok=False so a later filter can route them.
     """
+
+    PIECE_ROWS = 32  # raw output pixels outweigh a compressed input
 
     def __init__(self, out_w: int, out_h: int, *,
                  deterministic_fake: bool = False):
@@ -225,14 +230,15 @@ class ImageResizer:
 
 
 class FrameSampler:
-    """map_batches actor: explode video rows into sampled frame rows.
+    """map_batches stage: explode video rows into sampled frame rows.
 
     Every ``every_k``-th frame (plus the last when ``keep_last``) becomes
     one output row (id, frame_idx:int32, bytes:binary raw frame, width,
     height, channels, format='raw'). Output row count differs from the
-    input's — Ray Data map_batches handles that natively; keep
-    batch_size small (frames multiply payload volume).
+    input's — Ray Data map_batches handles that natively.
     """
+
+    PIECE_ROWS = 8  # frames multiply payload volume
 
     def __init__(self, every_k: int = 10, *, id_col: str = "clip_id",
                  keep_last: bool = False, deterministic_fake: bool = False):
@@ -288,7 +294,7 @@ class FrameSampler:
 
 
 # ---------------------------------------------------------------------------
-# pipeline helpers (actor pools wired with media-appropriate batch sizes)
+# pipeline helpers (one task-pool stage each)
 
 
 # task pools (stages/taskpool.py): the decode stubs hold no heavy state —
@@ -296,34 +302,26 @@ class FrameSampler:
 # __init__ loads the codec once per worker.
 
 
-def image_features(ds, *, concurrency=None, batch_size: int = 64,
-                   deterministic_fake: bool = False):
-    from .taskpool import stage_fn
-
+def image_features(ds, *, deterministic_fake: bool = False):
     return ds.map_batches(
         stage_fn(ImageDecoder, deterministic_fake=deterministic_fake),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow")
 
 
-def resize_images(ds, out_w: int, out_h: int, *, concurrency=None,
-                  batch_size: int = 32, deterministic_fake: bool = False):
-    from .taskpool import stage_fn
-
+def resize_images(ds, out_w: int, out_h: int, *,
+                  deterministic_fake: bool = False):
     return ds.map_batches(
         stage_fn(ImageResizer, out_w=out_w, out_h=out_h,
                  deterministic_fake=deterministic_fake),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow")
 
 
 def sample_frames(ds, every_k: int = 10, *, id_col: str = "clip_id",
-                  concurrency=None, batch_size: int = 8,
                   deterministic_fake: bool = False):
-    from .taskpool import stage_fn
-
     return ds.map_batches(
         stage_fn(FrameSampler, every_k=every_k, id_col=id_col,
                  deterministic_fake=deterministic_fake),
-        batch_format="pyarrow", batch_size=batch_size)
+        batch_format="pyarrow")
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,19 @@ pool's transfer queue gates throughput (audio_features over 100k clips:
 19-47 s as an actor pool vs 9-15 s as a task pool on the same input —
 the stage's own compute is ~0.5 s).
 
-A task-pool stage fuses with the read only when its ``map_batches`` sets
-no ``batch_size``: Ray does not fuse a row-count-changing upstream (the
-read) with a downstream that asks for a minimum bundle of rows. With a
-``batch_size``, the read's blocks go through the object store and wait in
-Ray's bundler first. A stage that needs a bounded kernel working set
-therefore takes whole blocks and cuts them itself with ``in_pieces``.
+The one piece-cutting rule: a stage's ``map_batches`` sets no
+``batch_size``, and the stage cuts the whole blocks it is handed itself.
+Ray does not fuse a row-count-changing upstream (the read) with a
+downstream that asks for a minimum bundle of rows, so with a
+``batch_size`` the read's blocks go through the object store and wait in
+Ray's bundler first; without one, consecutive task-pool stages fuse with
+the read into one task. ``_apply_stage`` runs every ``stage_fn`` stage
+over ``in_pieces`` of ``STAGE_ROWS`` rows, which bounds the kernel's
+working set. A stage class whose working set needs a different bound
+says so with a ``PIECE_ROWS`` class constant, and one whose kernel
+addresses a column's buffer in place names it in ``PIECE_CHUNKS_OF`` so
+no piece crosses that column's chunk bounds. Every stage must give the
+same rows whatever the pieces (``tests/test_stage_pieces.py``).
 
 ``stage_fn(Cls, **kwargs)`` returns a picklable plain function for
 ``map_batches`` whose instance is constructed ONCE PER WORKER PROCESS
@@ -32,6 +39,8 @@ import pyarrow as pa
 
 from ..state.allocator import tune_worker_allocator
 
+STAGE_ROWS = 256  # rows per stage kernel call, unless the class says
+
 _PROC_CACHE: dict = {}
 
 
@@ -43,7 +52,8 @@ def _apply_stage(batch, *, _cls, _kw):
         # the first big decode/FFT allocation (state/allocator.py)
         tune_worker_allocator()
         inst = _PROC_CACHE[key] = _cls(**dict(_kw))
-    return inst(batch)
+    return in_pieces(inst, batch, getattr(_cls, "PIECE_ROWS", STAGE_ROWS),
+                     chunks_of=getattr(_cls, "PIECE_CHUNKS_OF", None))
 
 
 def stage_fn(cls, **kwargs):

@@ -16,11 +16,12 @@ reused from the process heap and pages fault once per worker lifetime
 feature stage at 32 CPUs.
 
 Memory posture: each worker process retains roughly its PEAK live batch
-footprint (bounded by batch_size x row payload, the same bound the
-stage already needs to run) instead of returning it between batches.
-With bytes-bounded audio batches that is tens to a few hundred MB per
-worker — an explicit, bounded trade for not hitting the kernel page
-allocator in the hot loop.
+footprint (the block it is handed plus one piece's kernel working set,
+bounded by the stage's piece rows x row payload, stages/taskpool.py —
+the same bound the stage already needs to run) instead of returning it
+between batches. With audio blocks and pieces that is tens to a few
+hundred MB per worker — an explicit, bounded trade for not hitting the
+kernel page allocator in the hot loop.
 
 Set ``JSCHON_RAY_NO_MALLOPT=1`` to disable (e.g. memory-constrained
 debugging). No-op on non-glibc platforms.

@@ -151,7 +151,7 @@ def stress_lookup() -> dict:
     t0 = time.time()
     q_landmarks = AudioFingerprinter()(qtab)
     lm = corpus.map_batches(stage_fn(AudioFingerprinter),
-                            batch_format="pyarrow", batch_size=128)
+                            batch_format="pyarrow")
     hits = fingerprint_lookup(lm, q_landmarks, min_matches=40)
     df = hits.to_pandas()
     wall = time.time() - t0

@@ -74,8 +74,7 @@ def test_audio_features_ray_stage(ray_session):
     import ray.data as rd
 
     t = generate_clips(400, seed=6, dirty=True)
-    out = audio_features(rd.from_arrow(t), concurrency=2,
-                         batch_size=64).to_pandas()
+    out = audio_features(rd.from_arrow(t)).to_pandas()
     assert len(out) == 400 and "bytes" not in out.columns
     ok = out["feat_ok"]
     assert 0 < ok.sum() < 400  # dirty rows fail, clean rows pass

@@ -57,8 +57,7 @@ def test_image_features_actor_pool(ray_session):
     import ray.data as rd
 
     t = synth_image_table(40, compressed_every=8)
-    out = image_features(rd.from_arrow(t), concurrency=2,
-                         batch_size=16).to_pandas()
+    out = image_features(rd.from_arrow(t)).to_pandas()
     assert len(out) == 40 and "bytes" not in out.columns
     stub = out[~out["decode_ok"]]
     assert len(stub) == 5
@@ -81,7 +80,7 @@ def test_resize_stage(ray_session):
     import ray.data as rd
 
     t = synth_image_table(10)
-    out = resize_images(rd.from_arrow(t), 8, 6, concurrency=2) \
+    out = resize_images(rd.from_arrow(t), 8, 6) \
         .to_pandas().set_index("img_id")
     assert out["resize_ok"].all()
     assert (out["width"] == 8).all() and (out["height"] == 6).all()
@@ -95,8 +94,7 @@ def test_frame_sampler_explodes_rows(ray_session):
     import ray.data as rd
 
     t = synth_video_table(6, frames=24)
-    out = sample_frames(rd.from_arrow(t), every_k=10,
-                        concurrency=2).to_pandas()
+    out = sample_frames(rd.from_arrow(t), every_k=10).to_pandas()
     # 24 frames, every 10th -> idx 0, 10, 20 per clip
     assert len(out) == 6 * 3
     assert sorted(out["frame_idx"].unique()) == [0, 10, 20]

@@ -95,6 +95,25 @@ def test_verdict_pass_is_one_fused_read_task(clips_dir, ray_session):
         assert names == [chain], (decode, names)
 
 
+@pytest.mark.parametrize("query", ["q_audio_resample_vad_clips",
+                                   "q_audio_prep_segments",
+                                   "q_audio_mfcc_clips"])
+def test_audio_stage_chain_fuses_with_its_read(query, ray_session):
+    """The audio stages set no batch_size, so a query's whole stage chain
+    runs inside the read task: no operator is a ReadParquet of its own."""
+    import re
+
+    from jschon_ray.pipelines import queries
+
+    # the clips table is synthesized from the scale's name alone
+    ds = getattr(queries, query)("sf0.001")
+    names = re.findall(r"^Operator \d+ (\S+): ", ds.materialize().stats(),
+                       re.M)
+    assert names[0].startswith("ReadParquet->MapBatches(_apply_stage)"), \
+        names
+    assert "ReadParquet" not in names, names
+
+
 def test_uniqueness_on_unique_keys(ray_session, tmp_path):
     t = generate_clips(100, seed=9, dirty=False)
     import ray.data as rd

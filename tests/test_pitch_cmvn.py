@@ -67,7 +67,7 @@ def test_pitch_stage_over_dataset(ray_session):
 
     t = generate_clips(48, seed=3, dirty=False)
     ds = ray.data.from_arrow(t).repartition(4)
-    out = pitch_features(ds, concurrency=2, batch_size=16).to_pandas()
+    out = pitch_features(ds).to_pandas()
     assert len(out) == 48
     assert "f0_hz" in out and "bytes" not in out.columns
     assert out["pitch_ok"].mean() > 0.5
